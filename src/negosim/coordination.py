@@ -100,12 +100,9 @@ def coordinate_adapted(
         raise PlanError(f"theta must be >= 0, got {theta:g}")
     if not results:
         raise PlanError("coordination needs at least one sub-buyer thread")
-    qualifying = [r for r in _stream(results) if r.succeeded and r.utility >= theta]
+    qualifying = [r for r in results if r.succeeded and r.utility >= theta]
     if qualifying:
-        first_round = qualifying[0].completion_round
-        same_round = [r for r in qualifying if r.completion_round == first_round]
-        best = min(same_round, key=lambda r: (-r.utility, r.thread_id))
-        return ContractChoice(best.thread_id, best.supplier_id, first_round, best.utility)
+        return coordinate_desperate(qualifying)
     return coordinate_patient(results)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 WEIGHT_TOTAL = 100.0
@@ -40,7 +40,6 @@ class Issue:
 
     name: str
     options: tuple[IssueOption, ...]
-    kind: str = "discrete"  # or "discretized-continuous"
 
     def option(self, label: str) -> IssueOption:
         for opt in self.options:
@@ -253,11 +252,22 @@ def reservation_utility(profile: PreferenceProfile) -> float:
     """The agent's minimum acceptable utility.
 
     Defaults to the worst utility reachable without crossing any threshold
-    (zero-rated) option, unless the profile pins an explicit value.
+    (zero-rated) option, unless the profile pins an explicit value. Utility
+    is additive and each term is monotone in the rating, so that worst offer
+    picks every issue's lowest nonzero rating; summing in issue order, as
+    :func:`total_profit` does, gives the same float as enumerating.
     """
     if profile.reservation_utility is not None:
         return profile.reservation_utility
-    return enumerate_offers(profile, zero_free=True)[-1][1]
+    if not profile.issues:
+        raise InvalidProfileError("a profile without issues has no reservation utility")
+    score = 0.0
+    for issue in profile.issues:
+        nonzero = [opt.rating for opt in issue.options if opt.rating != 0]
+        if not nonzero:
+            raise InvalidProfileError(f"issue {issue.name!r} has no positively rated option")
+        score += profile.weights[issue.name] * min(nonzero) / issue.max_rating
+    return min(max(score, 0.0), 100.0)
 
 
 def discretize(value: float, scheme: DiscretizationScheme) -> str:

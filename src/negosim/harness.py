@@ -85,6 +85,14 @@ class Scenario:
         return replace(self, agents=agents)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # YAML true is not a count
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def bundled_scenario(name: str) -> Path:
     """Path of a scenario file shipped with the package."""
     return Path(resources.files("negosim") / "scenarios" / name)
@@ -107,15 +115,19 @@ def load_scenario(path: str | Path) -> Scenario:
             f"schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}"
         )
     seed = raw.get("seed")
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         violations.append("seed is required and must be an integer (determinism contract)")
     mode = raw.get("mode", "bilateral")
     if mode not in MODES:
         violations.append(f"mode must be one of {MODES}, got {mode!r}")
     max_rounds = raw.get("max_rounds", 100)
-    if not isinstance(max_rounds, int) or max_rounds < 0:
+    if not _is_int(max_rounds) or max_rounds < 0:
         violations.append(f"max_rounds must be a non-negative integer, got {max_rounds!r}")
     divergence_window = raw.get("divergence_window", 3)
+    if not _is_int(divergence_window) or divergence_window < 0:
+        violations.append(
+            f"divergence_window must be a non-negative integer, got {divergence_window!r}"
+        )
 
     alphabet: list[tuple[str, tuple[str, ...]]] = []
     issues_raw = raw.get("issues")
@@ -190,12 +202,31 @@ def load_scenario(path: str | Path) -> Scenario:
     )
 
 
+def _mapping(entry: dict, key: str, agent_id: str, violations: list[str]) -> dict:
+    value = entry.get(key, {})
+    if isinstance(value, dict):
+        return value
+    violations.append(f"agent {agent_id!r}: {key} must be a mapping, got {value!r}")
+    return {}
+
+
 def _load_agent(entry, alphabet, violations) -> AgentSpec | None:
     if not isinstance(entry, dict) or "id" not in entry:
         violations.append(f"agent entry {entry!r} needs an id")
         return None
     agent_id = str(entry["id"])
-    ratings = entry.get("ratings", {})
+    ratings = _mapping(entry, "ratings", agent_id, violations)
+    weights = _mapping(entry, "weights", agent_id, violations)
+    deadline = entry.get("deadline", 0)
+    if not _is_int(deadline):
+        violations.append(f"agent {agent_id!r}: deadline must be an integer, got {deadline!r}")
+        deadline = 1  # stand-in so the rest of the profile is still checked
+    reservation = entry.get("reservation_utility")
+    if reservation is not None and not _is_number(reservation):
+        violations.append(
+            f"agent {agent_id!r}: reservation_utility must be a number, got {reservation!r}"
+        )
+        reservation = None
     issues = []
     for name, labels in alphabet:
         issue_ratings = ratings.get(name)
@@ -220,13 +251,9 @@ def _load_agent(entry, alphabet, violations) -> AgentSpec | None:
         profile = make_profile(
             agent_id=agent_id,
             issues=issues,
-            weights={str(k): float(v) for k, v in entry.get("weights", {}).items()},
-            deadline=int(entry.get("deadline", 0)),
-            reservation_utility=(
-                float(entry["reservation_utility"])
-                if entry.get("reservation_utility") is not None
-                else None
-            ),
+            weights={str(k): float(v) for k, v in weights.items()},
+            deadline=deadline,
+            reservation_utility=None if reservation is None else float(reservation),
         )
     except InvalidProfileError as exc:
         violations.append(str(exc))
@@ -239,7 +266,11 @@ def _load_agent(entry, alphabet, violations) -> AgentSpec | None:
     except (ParameterError, KeyError, TypeError, ValueError) as exc:
         violations.append(f"agent {agent_id!r}: bad tactic spec ({exc})")
         tactic = TacticSpec(family="time-dependent")
-    predictor = PredictorConfig.from_dict(entry.get("predictor"))
+    try:
+        predictor = PredictorConfig.from_dict(entry.get("predictor"))
+    except ValueError as exc:
+        violations.append(f"agent {agent_id!r}: bad predictor spec ({exc})")
+        predictor = PredictorConfig()
     return AgentSpec(
         id=agent_id,
         role=str(entry.get("role", "")),

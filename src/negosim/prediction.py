@@ -30,7 +30,6 @@ FAMILIES = ("linear", "power", "quadratic")
 _SIMPLICITY = {"linear": 0, "power": 1, "quadratic": 2}
 _MIN_POINTS = {"linear": 2, "power": 2, "quadratic": 3}
 SSE_TIE_EPS = 1e-9
-CROSSING_TOL = 1e-6
 
 
 class DegenerateDataError(NegotiationError):
@@ -171,36 +170,32 @@ def estimate_crossing(
     """First time in [0, deadline] the fitted curve reaches the reservation.
 
     ``None`` means the curve never gets there before the deadline: the
-    thread is predicted unprofitable. Closed form for the monotone
-    families, grid-plus-bisection (|dt| <= 1e-6) for the quadratic.
+    thread is predicted unprofitable. Every family has a closed form.
     """
     r = own_reservation_utility
     if evaluate_fit(fit, 0.0) >= r:
         return 0.0
-    if fit.family == "linear":
-        if fit.b <= 0:
-            return None
-        t_star = (r - fit.a) / fit.b
-        return t_star if t_star <= own_deadline else None
-    if fit.family == "power" and fit.a > 0 and fit.b > 0:
-        t_star = (r / fit.a) ** (1.0 / fit.b)
-        return t_star if t_star <= own_deadline else None
-    # quadratic (or a decreasing power curve): scan for the first sign change
-    steps = 4096
-    prev_t = 0.0
-    for i in range(1, steps + 1):
-        t_hi = own_deadline * i / steps
-        if evaluate_fit(fit, t_hi) >= r:
-            lo, hi = prev_t, t_hi
-            while hi - lo > CROSSING_TOL:
-                mid = 0.5 * (lo + hi)
-                if evaluate_fit(fit, mid) >= r:
-                    hi = mid
-                else:
-                    lo = mid
-            return 0.5 * (lo + hi)
-        prev_t = t_hi
-    return None
+    if fit.family == "power":
+        # a > 0 for every power fit, so only a rising curve (b > 0) gets there
+        t_star = (r / fit.a) ** (1.0 / fit.b) if fit.b > 0 else None
+    else:
+        # smallest positive root of g(t) = qa*t^2 + qb*t + qc, where g(0) = f(0) - r < 0
+        if fit.family == "linear":
+            qa, qb, qc = 0.0, fit.b, fit.a - r
+        else:
+            qa, qb, qc = fit.a, fit.b, fit.c - r
+        disc = qb * qb - 4.0 * qa * qc
+        if qa == 0:
+            roots = [-qc / qb] if qb != 0 else []
+        elif disc < 0:
+            roots = []
+        else:
+            # q cannot be 0 because qc < 0; this form avoids cancelling qb against the root
+            q = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
+            roots = [q / qa, qc / q]
+        # a tiny positive root may underflow to +0.0; IEEE keeps the sign of zero
+        t_star = min((t for t in roots if math.copysign(1.0, t) > 0), default=None)
+    return t_star if t_star is not None and t_star <= own_deadline else None
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -379,7 +374,10 @@ class PredictorConfig:
     def from_dict(cls, raw: dict | None) -> "PredictorConfig":
         if not raw:
             return cls()
-        return cls(enabled=bool(raw.get("enabled", False)), warmup=int(raw.get("warmup", 5)))
+        warmup = raw.get("warmup", 5)
+        if not isinstance(warmup, int) or isinstance(warmup, bool):
+            raise ValueError(f"warmup must be an integer, got {warmup!r}")
+        return cls(enabled=bool(raw.get("enabled", False)), warmup=warmup)
 
 
 @dataclass(frozen=True)
@@ -391,10 +389,9 @@ class Advice:
 class PredictorState:
     """Per-agent, per-session prediction state: warm-up observation then advice."""
 
-    def __init__(self, config: PredictorConfig, agent_id: str, seed: int = 0):
+    def __init__(self, config: PredictorConfig, agent_id: str):
         self.config = config
         self.agent_id = agent_id
-        self.seed = seed
         self.observations: list[tuple[float, float]] = []
         self.fit: RegressionFit | None = None
 

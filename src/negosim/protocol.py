@@ -69,9 +69,6 @@ class SessionTrace:
     def note_fallback(self, agent_id: str, reason: str) -> None:
         self.metadata["fallbacks"].append((agent_id, len(self._rows), reason))
 
-    def offers_from(self, agent_id: str) -> list[TraceRow]:
-        return [r for r in self._rows if r.proposer == agent_id and r.action == "offer"]
-
     def offers_to(self, agent_id: str) -> list[TraceRow]:
         return [r for r in self._rows if r.proposer != agent_id and r.action == "offer"]
 
@@ -85,9 +82,6 @@ class SessionTrace:
 @dataclass
 class NegotiationState:
     round: int = 0
-    phase: str = "awaiting-offer"  # awaiting-offer | awaiting-response | ended
-    history: SessionTrace = field(default_factory=SessionTrace)
-    active_party: str = ""
 
 
 @dataclass(frozen=True)
@@ -206,129 +200,80 @@ def run_session(
     if opener not in profiles:
         raise SetupError(f"opener {opener!r} is not one of the parties")
 
+    configs = (
+        predictor_config
+        if isinstance(predictor_config, Mapping)
+        else dict.fromkeys(profiles, predictor_config)
+    )
     predictors: dict[str, PredictorState | None] = {}
     for agent_id in profiles:
-        config = None
-        if predictor_config is not None:
-            if isinstance(predictor_config, Mapping):
-                config = predictor_config.get(agent_id)
-            else:
-                config = predictor_config
-        if config is not None and config.enabled:
-            predictors[agent_id] = PredictorState(config, agent_id, seed=seed)
-        else:
-            predictors[agent_id] = None
+        config = configs.get(agent_id)
+        enabled = config is not None and config.enabled
+        predictors[agent_id] = PredictorState(config, agent_id) if enabled else None
 
     order = list(profiles)
     if order[0] != opener:
         order.reverse()
 
     trace = SessionTrace()
-    state = NegotiationState(history=trace)
-    incoming: OfferVector | None = None
-    outcome: SessionOutcome | None = None
+    state = NegotiationState()
+    standing: TraceRow | None = None  # the offer on the table, as its proposer recorded it
     round_no = 0
-    while outcome is None:
-        if round_no >= max_rounds:
-            outcome = SessionOutcome(kind="deadline-expiry", round=round_no)
-            break
+    while round_no < max_rounds:
         me = order[round_no % 2]
         other = order[(round_no + 1) % 2]
         profile = profiles[me]
         state.round = round_no
-        state.active_party = me
-        state.phase = "awaiting-offer" if incoming is None else "awaiting-response"
-
         try:
             planned = tactics[me].propose(profile, trace, round_no)
             # a malformed counter is a protocol violation by its proposer
-            total_profit(profile, planned)
-            total_profit(profiles[other], planned)
+            planned_utilities = (
+                total_profit(profile, planned),
+                total_profit(profiles[other], planned),
+            )
         except InvalidOfferError:
-            outcome = SessionOutcome(kind="withdrawal", round=round_no, party=me)
-            break
+            return SessionOutcome(kind="withdrawal", round=round_no, party=me), trace
 
-        if incoming is None:
-            trace.append(
-                TraceRow(
-                    round=round_no,
-                    proposer=me,
-                    offer=planned,
-                    utility_proposer=total_profit(profile, planned),
-                    utility_receiver=total_profit(profiles[other], planned),
-                    action="offer",
-                )
-            )
-            incoming = planned
-            round_no += 1
-            continue
+        outcome = None
+        if standing is not None:
+            try:
+                response = respond(profile, state, standing.offer, planned)
+            except ProtocolViolationError as exc:
+                return SessionOutcome(kind="withdrawal", round=round_no, party=exc.violator), trace
+            if isinstance(response, Withdraw):
+                action = "withdraw"
+                outcome = SessionOutcome(kind="withdrawal", round=round_no, party=me)
+            else:
+                reason = check_termination(trace, profile, divergence_window)
+                predictor = predictors[me]
+                if reason is None and predictor is not None:
+                    if advise(predictor, trace, profile).kind == "terminate-unprofitable":
+                        reason = "unprofitable"
+                if reason is not None:
+                    action = f"terminate-{reason}"
+                    outcome = SessionOutcome(
+                        kind="early-termination", round=round_no, party=me, reason=reason
+                    )
+                elif isinstance(response, Accept):
+                    action = "accept"
+                    outcome = SessionOutcome(
+                        kind="agreement",
+                        round=round_no,
+                        offer=response.offer,
+                        utilities={
+                            agent: total_profit(prof, response.offer)
+                            for agent, prof in profiles.items()
+                        },
+                    )
 
-        try:
-            response = respond(profile, state, incoming, planned)
-        except ProtocolViolationError as exc:
-            outcome = SessionOutcome(kind="withdrawal", round=round_no, party=exc.violator)
-            break
-
-        def terminal_row(action: str) -> None:
-            trace.append(
-                TraceRow(
-                    round=round_no,
-                    proposer=me,
-                    offer=incoming,
-                    utility_proposer=total_profit(profile, incoming),
-                    utility_receiver=total_profit(profiles[other], incoming),
-                    action=action,
-                )
-            )
-
-        if isinstance(response, Withdraw):
-            terminal_row("withdraw")
-            outcome = SessionOutcome(kind="withdrawal", round=round_no, party=me)
-            break
-
-        reason = check_termination(trace, profile, divergence_window)
-        if reason is not None:
-            terminal_row(f"terminate-{reason}")
-            outcome = SessionOutcome(
-                kind="early-termination", round=round_no, party=me, reason=reason
-            )
-            break
-
-        predictor = predictors[me]
-        if predictor is not None:
-            advice = advise(predictor, trace, profile)
-            if advice.kind == "terminate-unprofitable":
-                terminal_row("terminate-unprofitable")
-                outcome = SessionOutcome(
-                    kind="early-termination", round=round_no, party=me, reason="unprofitable"
-                )
-                break
-
-        if isinstance(response, Accept):
-            terminal_row("accept")
-            outcome = SessionOutcome(
-                kind="agreement",
-                round=round_no,
-                offer=response.offer,
-                utilities={
-                    agent: total_profit(prof, response.offer)
-                    for agent, prof in profiles.items()
-                },
-            )
-            break
-
-        trace.append(
-            TraceRow(
-                round=round_no,
-                proposer=me,
-                offer=response.counter,
-                utility_proposer=total_profit(profile, response.counter),
-                utility_receiver=total_profit(profiles[other], response.counter),
-                action="offer",
-            )
-        )
-        incoming = response.counter
+        if outcome is None:
+            row = TraceRow(round_no, me, planned, *planned_utilities, "offer")
+        else:  # a terminal row restates the standing offer from this party's side
+            mine, theirs = standing.utility_receiver, standing.utility_proposer
+            row = TraceRow(round_no, me, standing.offer, mine, theirs, action)
+        trace.append(row)
+        if outcome is not None:
+            return outcome, trace
+        standing = row
         round_no += 1
-
-    state.phase = "ended"
-    return outcome, trace
+    return SessionOutcome(kind="deadline-expiry", round=round_no), trace

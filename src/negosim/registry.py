@@ -79,7 +79,6 @@ class ServiceRegistry:
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self._records: dict[str, ServiceRecord] = {}
-        self._sequences: dict[str, int] = {}
         self._next_sequence = 0
 
     def register(self, record: ServiceRecord) -> RegistrationHandle:
@@ -92,7 +91,6 @@ class ServiceRegistry:
             sequence = self._next_sequence
             self._next_sequence += 1
             self._records[record.seller_id] = replace(record, registered_at=sequence)
-            self._sequences[record.seller_id] = sequence
             return RegistrationHandle(seller_id=record.seller_id, sequence=sequence)
 
     def discover(self, query: DiscoveryQuery) -> list[ServiceRecord]:
@@ -108,7 +106,6 @@ class ServiceRegistry:
                     f"no live registration for {handle.seller_id!r} with sequence {handle.sequence}"
                 )
             del self._records[handle.seller_id]
-            del self._sequences[handle.seller_id]
 
     def snapshot(self) -> str:
         """Live records as YAML, in registration order, for inspection."""

@@ -10,9 +10,10 @@ threshold by definition.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from .domain import (
     NegotiationError,
@@ -74,47 +75,14 @@ def offer_for_target(profile: PreferenceProfile, target: float) -> OfferVector:
     smallest label vector.
     """
     pool = enumerate_offers(profile, zero_free=True)  # best first, ties lexicographic
+    qualifying = list(itertools.takewhile(lambda entry: entry[1] >= target - 1e-9, pool))
+    if not qualifying:
+        return pool[0][0]  # nothing reaches the target; concede as little as possible
     names = [issue.name for issue in profile.issues]
-    chosen = None
-    for offer, utility in pool:
-        if utility >= target - 1e-9:
-            # keep scanning: pool is descending, so the last qualifying entry
-            # is the smallest utility >= target
-            if (
-                chosen is None
-                or utility < chosen[1]
-                or (
-                    utility == chosen[1]
-                    and tuple(offer.choices[n] for n in names)
-                    < tuple(chosen[0].choices[n] for n in names)
-                )
-            ):
-                chosen = (offer, utility)
-        else:
-            break
-    if chosen is None:
-        chosen = pool[0]  # nothing reaches the target; concede as little as possible
-    return chosen[0]
-
-
-def time_dependent_offer(
-    profile: PreferenceProfile,
-    t: float,
-    t_max: float | None = None,
-    k: float = 0.0,
-    beta: float = 1.0,
-) -> OfferVector:
-    if t_max is None:
-        t_max = profile.deadline
-    alpha = time_alpha(t, t_max, k, beta)
-    return offer_for_target(profile, target_from_alpha(profile, alpha))
-
-
-def resource_dependent_offer(
-    profile: PreferenceProfile, resource_remaining: float, k: float = 0.0
-) -> OfferVector:
-    alpha = resource_alpha(resource_remaining, k)
-    return offer_for_target(profile, target_from_alpha(profile, alpha))
+    offer, _ = min(
+        qualifying, key=lambda entry: (entry[1], tuple(entry[0].choices[n] for n in names))
+    )
+    return offer
 
 
 def behavior_target(
@@ -148,35 +116,6 @@ def behavior_target(
     target = previous_target * ratio
     reservation = reservation_utility(profile)
     return min(max(target, reservation), MAX_UTILITY)
-
-
-def behavior_dependent_offer(
-    profile: PreferenceProfile, trace: "SessionTrace", delta: int = 1
-) -> OfferVector:
-    return offer_for_target(profile, behavior_target(profile, trace, delta))
-
-
-def mixed_target(
-    profile: PreferenceProfile,
-    components: Sequence[tuple[float, "Tactic"]],
-    trace: "SessionTrace",
-    round: int,
-) -> float:
-    weights = [w for w, _ in components]
-    if not components or any(w < 0 for w in weights):
-        raise ParameterError("mixture weights must be non-negative")
-    if abs(sum(weights) - 1.0) > 1e-9:
-        raise ParameterError(f"mixture weights must sum to 1, got {sum(weights):g}")
-    return sum(w * tactic.target(profile, trace, round) for w, tactic in components)
-
-
-def mixed_offer(
-    profile: PreferenceProfile,
-    components: Sequence[tuple[float, "Tactic"]],
-    trace: "SessionTrace",
-    round: int,
-) -> OfferVector:
-    return offer_for_target(profile, mixed_target(profile, components, trace, round))
 
 
 class Tactic:
@@ -228,8 +167,15 @@ class BehaviorDependentTactic(Tactic):
 class MixedTactic(Tactic):
     components: tuple[tuple[float, Tactic], ...]
 
+    def __post_init__(self) -> None:
+        weights = [w for w, _ in self.components]
+        if not weights or any(w < 0 for w in weights):
+            raise ParameterError("mixture weights must be non-negative")
+        if abs(sum(weights) - 1.0) > 1e-9:
+            raise ParameterError(f"mixture weights must sum to 1, got {sum(weights):g}")
+
     def target(self, profile, trace, round):
-        return mixed_target(profile, self.components, trace, round)
+        return sum(w * tactic.target(profile, trace, round) for w, tactic in self.components)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +20,8 @@ from negosim.domain import (
     total_profit,
     validate_profile,
 )
+
+from conftest import random_profile
 
 AGE_BINS = DiscretizationScheme(
     bins=(("youth", 10, 25), ("middle-aged", 25, 50), ("old", 50, math.inf))
@@ -218,6 +221,21 @@ def test_reservation_utility_default_excludes_threshold_options():
     )
     profile = make_profile("a", [issue], {"x": 100.0}, deadline=5)
     assert reservation_utility(profile) == pytest.approx(25.0)  # 20/80 * 100
+
+
+def test_reservation_utility_equals_worst_zero_free_offer():
+    rng = random.Random(2024)
+    for i in range(500):
+        profile = random_profile(rng, f"agent{i}")
+        assert reservation_utility(profile) == enumerate_offers(profile, zero_free=True)[-1][1]
+
+
+def test_reservation_utility_needs_a_positively_rated_option():
+    ok = Issue("x", (IssueOption("bad", 0.0), IssueOption("top", 80.0)))
+    dead = Issue("y", (IssueOption("bad", 0.0),))
+    profile = make_profile("a", [ok, dead], {"x": 50.0, "y": 50.0}, deadline=5)
+    with pytest.raises(InvalidProfileError):
+        reservation_utility(profile)
 
 
 def test_reservation_utility_explicit_override():

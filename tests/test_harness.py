@@ -103,6 +103,60 @@ class TestLoadScenario:
             load_scenario(write_scenario(tmp_path, raw))
         assert any("coordination" in v for v in exc.value.violations)
 
+    @pytest.mark.parametrize(
+        "path, value, named",
+        [
+            (("seed",), True, "seed"),
+            (("max_rounds",), True, "max_rounds"),
+            (("divergence_window",), "three", "divergence_window"),
+            (("divergence_window",), -2, "divergence_window"),
+            (("agents", 0, "deadline"), "soon", "deadline"),
+            (("agents", 0, "reservation_utility"), "high", "reservation_utility"),
+            (("agents", 0, "predictor"), {"warmup": "x"}, "warmup"),
+            (("agents", 0, "ratings"), [1, 2], "ratings"),
+            (("agents", 0, "weights"), [50, 20], "weights"),
+            (
+                ("agents", 0, "tactic"),
+                {
+                    "family": "mixed",
+                    "mixture": [
+                        {"weight": 0.5, "family": "time-dependent"},
+                        {"weight": 0.6, "family": "time-dependent"},
+                    ],
+                },
+                "mixture weights",
+            ),
+        ],
+        ids=[
+            "seed-bool",
+            "max_rounds-bool",
+            "divergence_window-str",
+            "divergence_window-negative",
+            "deadline-str",
+            "reservation_utility-str",
+            "warmup-str",
+            "ratings-list",
+            "weights-list",
+            "mixture-weight-sum",
+        ],
+    )
+    def test_bad_field_is_a_listed_violation(self, tmp_path, path, value, named):
+        raw = copy.deepcopy(MINIMAL)
+        raw["agents"][1]["weights"] = {"price": 50}  # a second, unrelated violation
+        target = raw
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        scenario_path = write_scenario(tmp_path, raw)
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(scenario_path)
+        assert any(named in v for v in exc.value.violations)
+        assert any("weights sum 50" in v for v in exc.value.violations)
+        result = CliRunner().invoke(main, ["run", "--scenario", str(scenario_path)])
+        assert isinstance(result.exception, SystemExit)  # a ClickException, not a crash
+        assert result.exit_code != 0
+        assert "Traceback" not in result.output
+
     def test_market_scenario_has_plan(self, market_scenario):
         assert market_scenario.mode == "one-to-many"
         assert market_scenario.plan.strategy == "adapted"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from negosim.domain import DiscretizationScheme, OfferVector
 from negosim.prediction import (
@@ -14,6 +15,7 @@ from negosim.prediction import (
     PredictorConfig,
     PredictorState,
     RegressionDomainError,
+    RegressionFit,
     advise,
     encode_categorical,
     estimate_crossing,
@@ -200,6 +202,44 @@ class TestEstimateCrossing:
     def test_quadratic_never_crossing_is_none(self):
         fit = fit_regression(series((0, 30), (1, 28), (2, 22), (3, 12)), "quadratic")
         assert estimate_crossing(fit, 80.0, 10.0) is None
+
+
+def scan_crossing(fit, reservation, deadline, steps=2**16):
+    """Reference for estimate_crossing: first grid point at or above the
+    reservation, then bisection down to 1e-10."""
+    if evaluate_fit(fit, 0.0) >= reservation:
+        return 0.0
+    grid = np.linspace(0.0, deadline, steps + 1)
+    reached = np.flatnonzero(fit.a * grid**2 + fit.b * grid + fit.c >= reservation)
+    if reached.size == 0:
+        return None
+    lo, hi = float(grid[reached[0] - 1]), float(grid[reached[0]])
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if evaluate_fit(fit, mid) >= reservation else (mid, hi)
+    return 0.5 * (lo + hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.floats(-100, 100),
+    b=st.floats(-200, 200),
+    gap=st.floats(0, 100),  # reservation - f(0): start below the reservation
+    reservation=st.floats(0, 100),
+    deadline=st.floats(0.5, 2.0),
+)
+def test_quadratic_crossing_matches_dense_scan(a, b, gap, reservation, deadline):
+    fit = RegressionFit("quadratic", a=a, b=b, c=reservation - gap, sse=0.0, n_points=3)
+    # skip ill-conditioned cases (a tangency, or a root at the deadline), where
+    # a 1e-6 nudge of the reservation flips the answer or moves t* far
+    low, high = (scan_crossing(fit, reservation + d, deadline) for d in (-1e-6, 1e-6))
+    assume((low is None) == (high is None))
+    assume(low is None or abs(high - low) < 1e-3)
+    expected = scan_crossing(fit, reservation, deadline)
+    t_star = estimate_crossing(fit, reservation, deadline)
+    assert (t_star is None) == (expected is None)
+    if expected is not None:
+        assert t_star == pytest.approx(expected, abs=1e-6)
 
 
 class TestNeuralPredictor:

@@ -13,12 +13,10 @@ from negosim.tactics import (
     TacticSpec,
     TimeDependentTactic,
     behavior_target,
-    mixed_target,
     offer_for_target,
     resource_alpha,
     target_from_alpha,
     time_alpha,
-    time_dependent_offer,
 )
 
 from conftest import ladder_profile
@@ -73,13 +71,15 @@ class TestTimeDependent:
 
     def test_start_returns_top_offer(self):
         profile = ladder_profile()
-        offer = time_dependent_offer(profile, t=0, k=0.0, beta=1.0)
-        assert total_profit(profile, offer) == 100.0
+        choices = TimeDependentTactic(k=0.0, beta=1.0).propose(profile, SessionTrace(), 0).choices
+        assert total_profit(profile, OfferVector(choices)) == 100.0
 
     def test_deadline_returns_reservation_offer(self):
         profile = ladder_profile()
-        offer = time_dependent_offer(profile, t=10, k=0.0, beta=1.0)
-        assert total_profit(profile, offer) == pytest.approx(reservation_utility(profile))
+        choices = TimeDependentTactic(k=0.0, beta=1.0).propose(profile, SessionTrace(), 10).choices
+        assert total_profit(profile, OfferVector(choices)) == pytest.approx(
+            reservation_utility(profile)
+        )
 
     def test_bad_beta_rejected(self):
         with pytest.raises(ParameterError):
@@ -161,18 +161,19 @@ class TestMixed:
     def test_weighted_mean_of_targets(self):
         profile = ladder_profile()
         components = ((0.5, FixedTargetTactic(80.0)), (0.5, FixedTargetTactic(60.0)))
-        assert mixed_target(profile, components, SessionTrace(), 0) == pytest.approx(70.0)
+        mixed = MixedTactic(components=components)
+        assert mixed.target(profile, SessionTrace(), 0) == pytest.approx(70.0)
 
     def test_weighted_mean_skewed(self):
         profile = ladder_profile()
         components = ((0.3, FixedTargetTactic(100.0)), (0.7, FixedTargetTactic(0.0)))
-        assert mixed_target(profile, components, SessionTrace(), 0) == pytest.approx(30.0)
+        mixed = MixedTactic(components=components)
+        assert mixed.target(profile, SessionTrace(), 0) == pytest.approx(30.0)
 
     def test_weight_sum_violation_rejected(self):
-        profile = ladder_profile()
         components = ((0.5, FixedTargetTactic(80.0)), (0.6, FixedTargetTactic(60.0)))
         with pytest.raises(ParameterError):
-            mixed_target(profile, components, SessionTrace(), 0)
+            MixedTactic(components=components)
 
     def test_single_component_mixture_exact(self):
         profile = ladder_profile()
@@ -197,9 +198,10 @@ class TestOfferMapping:
 
     def test_emitted_offers_respect_reservation(self):
         profile = ladder_profile(reservation=40.0)
+        tactic = TimeDependentTactic(k=0.0, beta=2.0)
         for t in range(0, 11):
-            offer = time_dependent_offer(profile, t=t, k=0.0, beta=2.0)
-            assert total_profit(profile, offer) >= 40.0
+            choices = tactic.propose(profile, SessionTrace(), t).choices
+            assert total_profit(profile, OfferVector(choices)) >= 40.0
 
 
 class TestTacticSpec:
