@@ -28,8 +28,8 @@ from .tactics import (
     BehaviorDependentTactic,
     MixedTactic,
     ResourceDependentTactic,
-    TacticSpec,
     TimeDependentTactic,
+    tactic_from_dict,
 )
 from .prediction import (
     Advice,

@@ -129,8 +129,8 @@ def registry_demo() -> None:
         outcome, trace = run_session(
             buyer.profile,
             seller.profile,
-            buyer.tactic.build(),
-            seller.tactic.build(),
+            buyer.tactic,
+            seller.tactic,
             max_rounds=scenario.max_rounds,
             seed=scenario.seed,
             opener=buyer.id,

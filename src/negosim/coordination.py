@@ -116,7 +116,7 @@ def coordinate(plan: CoordinationPlan, results: Sequence[SubBuyerResult]) -> Con
 
 def run_one_to_many(
     buyer_profile: PreferenceProfile,
-    buyer_tactic_factory,
+    buyer_tactic: Tactic,
     suppliers: Sequence[tuple[PreferenceProfile, Tactic]],
     plan: CoordinationPlan,
     max_rounds: int = 100,
@@ -139,7 +139,7 @@ def run_one_to_many(
         outcome, trace = run_session(
             buyer_profile,
             supplier_profile,
-            buyer_tactic_factory(),
+            buyer_tactic,
             supplier_tactic,
             predictor_config=predictor_config,
             max_rounds=max_rounds,

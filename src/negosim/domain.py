@@ -182,6 +182,8 @@ def validate_profile(profile: PreferenceProfile) -> list[str]:
             violations.append(f"issue {issue.name!r} has duplicate option labels")
         if any(opt.rating < 0 for opt in issue.options):
             violations.append(f"issue {issue.name!r} has a negative option rating")
+        if not all(math.isfinite(opt.rating) for opt in issue.options):
+            violations.append(f"issue {issue.name!r} has a non-finite option rating")
         zero_count = sum(1 for opt in issue.options if opt.rating == 0)
         if zero_count != 1:
             violations.append(
@@ -197,6 +199,8 @@ def validate_profile(profile: PreferenceProfile) -> list[str]:
             violations.append(f"weighted issue {name!r} not present in issue list")
         if weight < 0:
             violations.append(f"issue {name!r} has negative weight {weight:g}")
+        if not math.isfinite(weight):
+            violations.append(f"issue {name!r} has non-finite weight {weight:g}")
     for issue in profile.issues:
         if issue.name not in profile.weights:
             violations.append(f"issue {issue.name!r} has no weight")

@@ -35,7 +35,7 @@ from .domain import (
 )
 from .prediction import PredictorConfig
 from .protocol import SessionOutcome, SessionTrace, run_session
-from .tactics import ParameterError, TacticSpec
+from .tactics import ParameterError, Tactic, TimeDependentTactic, tactic_from_dict
 
 SCHEMA_VERSION = 1
 MODES = ("bilateral", "one-to-many")
@@ -55,7 +55,7 @@ class AgentSpec:
     id: str
     role: str
     profile: PreferenceProfile
-    tactic: TacticSpec
+    tactic: Tactic
     predictor: PredictorConfig
 
 
@@ -245,32 +245,47 @@ def _load_agent(entry, alphabet, violations) -> AgentSpec | None:
                     f"agent {agent_id!r}: no rating for option {label!r} of issue {name!r}"
                 )
                 continue
-            options.append(IssueOption(label=label, rating=float(issue_ratings[label])))
+            rating = issue_ratings[label]
+            if not _is_number(rating):
+                violations.append(
+                    f"agent {agent_id!r}: rating for option {label!r} of issue {name!r}"
+                    f" must be a number, got {rating!r}"
+                )
+                continue
+            options.append(IssueOption(label=label, rating=float(rating)))
         issues.append(Issue(name=name, options=tuple(options)))
-    try:
-        profile = make_profile(
-            agent_id=agent_id,
-            issues=issues,
-            weights={str(k): float(v) for k, v in weights.items()},
-            deadline=deadline,
-            reservation_utility=None if reservation is None else float(reservation),
+    bad_weights = {k: v for k, v in weights.items() if not _is_number(v)}
+    for name, value in bad_weights.items():
+        violations.append(
+            f"agent {agent_id!r}: weight of issue {name!r} must be a number, got {value!r}"
         )
-    except InvalidProfileError as exc:
-        violations.append(str(exc))
-        return None
-    for problem in validate_profile(profile):
-        violations.append(f"agent {agent_id!r}: {problem}")
+    profile = None
+    if not bad_weights:
+        try:
+            profile = make_profile(
+                agent_id=agent_id,
+                issues=issues,
+                weights={str(k): float(v) for k, v in weights.items()},
+                deadline=deadline,
+                reservation_utility=None if reservation is None else float(reservation),
+            )
+        except InvalidProfileError as exc:
+            violations.append(str(exc))
+    if profile is not None:
+        for problem in validate_profile(profile):
+            violations.append(f"agent {agent_id!r}: {problem}")
     try:
-        tactic = TacticSpec.from_dict(entry.get("tactic", {"family": "time-dependent"}))
-        tactic.build()  # fail fast on bad parameters
-    except (ParameterError, KeyError, TypeError, ValueError) as exc:
+        tactic = tactic_from_dict(entry.get("tactic", {"family": "time-dependent"}))
+    except ParameterError as exc:
         violations.append(f"agent {agent_id!r}: bad tactic spec ({exc})")
-        tactic = TacticSpec(family="time-dependent")
+        tactic = TimeDependentTactic()
     try:
         predictor = PredictorConfig.from_dict(entry.get("predictor"))
     except ValueError as exc:
         violations.append(f"agent {agent_id!r}: bad predictor spec ({exc})")
         predictor = PredictorConfig()
+    if profile is None:
+        return None
     return AgentSpec(
         id=agent_id,
         role=str(entry.get("role", "")),
@@ -322,8 +337,8 @@ def _run_bilateral(scenario: Scenario, index: int) -> SessionRecord:
     outcome, trace = run_session(
         a.profile,
         b.profile,
-        a.tactic.build(),
-        b.tactic.build(),
+        a.tactic,
+        b.tactic,
         predictor_config={a.id: a.predictor, b.id: b.predictor},
         max_rounds=scenario.max_rounds,
         seed=scenario.seed + index,
@@ -340,8 +355,8 @@ def _run_one_to_many(scenario: Scenario, index: int) -> SessionRecord:
     suppliers = [scenario.agent(s) for s in scenario.supplier_ids]
     choice, results, traces = run_one_to_many(
         buyer.profile,
-        buyer.tactic.build,
-        [(s.profile, s.tactic.build()) for s in suppliers],
+        buyer.tactic,
+        [(s.profile, s.tactic) for s in suppliers],
         scenario.plan,
         max_rounds=scenario.max_rounds,
         seed=scenario.seed + index,

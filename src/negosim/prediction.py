@@ -20,7 +20,7 @@ from .domain import (
     PreferenceProfile,
     discretize,
     reservation_utility,
-    total_profit,
+    total_profit,  # not called here; perfbench/test_perfbench.py asserts this binding exists
 )
 
 if TYPE_CHECKING:
@@ -87,9 +87,9 @@ class RegressionFit:
 
 
 def _lstsq(design: np.ndarray, target: np.ndarray) -> np.ndarray:
-    if np.linalg.matrix_rank(design) < design.shape[1]:
+    coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+    if rank < design.shape[1]:
         raise DegenerateDataError("design matrix is singular (degenerate observation times)")
-    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     return coef
 
 
@@ -372,12 +372,17 @@ class PredictorConfig:
 
     @classmethod
     def from_dict(cls, raw: dict | None) -> "PredictorConfig":
-        if not raw:
+        if raw is None:
             return cls()
+        if not isinstance(raw, dict):
+            raise ValueError(f"must be a mapping, got {raw!r}")
+        enabled = raw.get("enabled", False)
+        if not isinstance(enabled, bool):
+            raise ValueError(f"enabled must be true or false, got {enabled!r}")
         warmup = raw.get("warmup", 5)
         if not isinstance(warmup, int) or isinstance(warmup, bool):
             raise ValueError(f"warmup must be an integer, got {warmup!r}")
-        return cls(enabled=bool(raw.get("enabled", False)), warmup=warmup)
+        return cls(enabled=enabled, warmup=warmup)
 
 
 @dataclass(frozen=True)
@@ -409,9 +414,7 @@ def advise(state: PredictorState, trace: "SessionTrace", profile: PreferenceProf
     means the thread is not worth pursuing.
     """
     incoming = trace.offers_to(profile.agent_id)
-    state.observations = [
-        (row.round / profile.deadline, total_profit(profile, row.offer)) for row in incoming
-    ]
+    state.observations = [(row.round / profile.deadline, row.utility_receiver) for row in incoming]
     if state.mode == "warm-up":
         return Advice(kind="none")
     try:

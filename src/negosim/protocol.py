@@ -155,7 +155,7 @@ def check_termination(
         if latest.choices[issue.name] in issue.zero_rated_labels:
             return "threshold"
     if window >= 1 and len(incoming) >= window:
-        utilities = [total_profit(profile, r.offer) for r in incoming[-window:]]
+        utilities = [row.utility_receiver for row in incoming[-window:]]
         if all(b < a for a, b in zip(utilities, utilities[1:])):
             return "diverging"
     return None
@@ -181,7 +181,10 @@ def run_session(
     opener: str | None = None,
     divergence_window: int = DEFAULT_DIVERGENCE_WINDOW,
 ) -> tuple[SessionOutcome, SessionTrace]:
-    """Run one bilateral session to completion; deterministic given the seed.
+    """Run one bilateral session to completion.
+
+    Nothing draws from ``seed`` yet: the profiles, tactics and settings fix
+    the session, so equal inputs give identical sessions for every seed.
 
     ``predictor_config`` (a :class:`negosim.prediction.PredictorConfig` or a
     mapping ``{agent_id: config}``) arms per-agent behavior prediction.
@@ -236,6 +239,7 @@ def run_session(
 
         outcome = None
         if standing is not None:
+            mine, theirs = standing.utility_receiver, standing.utility_proposer
             try:
                 response = respond(profile, state, standing.offer, planned)
             except ProtocolViolationError as exc:
@@ -260,16 +264,12 @@ def run_session(
                         kind="agreement",
                         round=round_no,
                         offer=response.offer,
-                        utilities={
-                            agent: total_profit(prof, response.offer)
-                            for agent, prof in profiles.items()
-                        },
+                        utilities={agent: mine if agent == me else theirs for agent in profiles},
                     )
 
         if outcome is None:
             row = TraceRow(round_no, me, planned, *planned_utilities, "offer")
         else:  # a terminal row restates the standing offer from this party's side
-            mine, theirs = standing.utility_receiver, standing.utility_proposer
             row = TraceRow(round_no, me, standing.offer, mine, theirs, action)
         trace.append(row)
         if outcome is not None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 from .domain import (
     NegotiationError,
@@ -21,7 +21,7 @@ from .domain import (
     PreferenceProfile,
     enumerate_offers,
     reservation_utility,
-    total_profit,
+    total_profit,  # not called here; perfbench/test_perfbench.py asserts this binding exists
 )
 
 if TYPE_CHECKING:
@@ -39,7 +39,7 @@ def time_alpha(t: float, t_max: float, k: float, beta: float) -> float:
 
     beta < 1 concedes late (boulware), beta > 1 concedes early (conceder).
     """
-    if beta <= 0:
+    if not beta > 0:  # also rejects NaN
         raise ParameterError(f"beta must be > 0, got {beta:g}")
     if not 0 <= k <= 1:
         raise ParameterError(f"k must be in [0, 1], got {k:g}")
@@ -91,24 +91,25 @@ def behavior_target(
     """Relative tit-for-tat target in the agent's own utility space.
 
     The opponent's concession is measured as the ratio between its offers'
-    utility-to-me at lag ``delta``; the agent reciprocates by scaling its own
-    previous target by the inverse ratio, clamped to [reservation, 100].
-    With insufficient history the previous target is kept (recorded in the
-    trace metadata as a fallback).
+    utility-to-me at lag ``delta`` (an integer >= 1); the agent reciprocates
+    by scaling its own previous target by the inverse ratio, clamped to
+    [reservation, 100]. Both come from the utilities the trace recorded when
+    each offer was made. With insufficient history the previous target is
+    kept (recorded in the trace metadata as a fallback).
     """
-    if delta < 1:
-        raise ParameterError(f"imitation lag delta must be >= 1, got {delta}")
     me = profile.agent_id
-    own = [row.offer for row in trace.rows if row.proposer == me and row.action == "offer"]
-    opp_utils = [
-        total_profit(profile, row.offer)
-        for row in trace.rows
-        if row.proposer != me and row.action == "offer"
-    ]
-    if not own:
+    previous_target = None
+    opp_utils = []
+    for row in trace:
+        if row.action != "offer":
+            continue
+        if row.proposer == me:
+            previous_target = row.utility_proposer
+        else:
+            opp_utils.append(row.utility_receiver)
+    if previous_target is None:
         trace.note_fallback(me, "no own offer yet; opening at maximum")
         return MAX_UTILITY
-    previous_target = total_profit(profile, own[-1])
     if len(opp_utils) < 2 * delta or opp_utils[-delta] == 0:
         trace.note_fallback(me, "insufficient opponent history; repeating last offer")
         return previous_target
@@ -131,21 +132,27 @@ class Tactic:
         return offer.stamped(round, profile.agent_id)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TimeDependentTactic(Tactic):
     k: float = 0.0
     beta: float = 1.0
+
+    def __post_init__(self) -> None:
+        time_alpha(0.0, 1.0, self.k, self.beta)  # rejects k outside [0, 1] and beta <= 0
 
     def target(self, profile, trace, round):
         alpha = time_alpha(round, profile.deadline, self.k, self.beta)
         return target_from_alpha(profile, alpha)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResourceDependentTactic(Tactic):
     """Concedes as the resource runs out; defaults to rounds left before the deadline."""
 
     k: float = 0.0
+
+    def __post_init__(self) -> None:
+        resource_alpha(0.0, self.k)  # rejects k outside [0, 1]
 
     def resource_remaining(self, profile, round) -> float:
         return max(profile.deadline - round, 0)
@@ -155,21 +162,26 @@ class ResourceDependentTactic(Tactic):
         return target_from_alpha(profile, alpha)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BehaviorDependentTactic(Tactic):
     delta: int = 1
+
+    def __post_init__(self) -> None:
+        delta = self.delta
+        if isinstance(delta, bool) or not isinstance(delta, int) or delta < 1:
+            raise ParameterError(f"imitation lag delta must be an integer >= 1, got {delta!r}")
 
     def target(self, profile, trace, round):
         return behavior_target(profile, trace, self.delta)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MixedTactic(Tactic):
     components: tuple[tuple[float, Tactic], ...]
 
     def __post_init__(self) -> None:
         weights = [w for w, _ in self.components]
-        if not weights or any(w < 0 for w in weights):
+        if not weights or not all(w >= 0 for w in weights):
             raise ParameterError("mixture weights must be non-negative")
         if abs(sum(weights) - 1.0) > 1e-9:
             raise ParameterError(f"mixture weights must sum to 1, got {sum(weights):g}")
@@ -178,42 +190,34 @@ class MixedTactic(Tactic):
         return sum(w * tactic.target(profile, trace, round) for w, tactic in self.components)
 
 
-@dataclass(frozen=True)
-class TacticSpec:
-    """Scenario-facing tactic description; ``build`` turns it into a Tactic."""
+def _number(raw: Mapping, key: str, default: float | None = None) -> float:
+    value = raw.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParameterError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
-    family: str  # time-dependent | resource-dependent | behavior-dependent | mixed
-    k: float = 0.0
-    beta: float = 1.0
-    delta: int = 1
-    mixture: tuple[tuple[float, "TacticSpec"], ...] = ()
 
-    def build(self) -> Tactic:
-        if self.family == "time-dependent":
-            return TimeDependentTactic(k=self.k, beta=self.beta)
-        if self.family == "resource-dependent":
-            return ResourceDependentTactic(k=self.k)
-        if self.family == "behavior-dependent":
-            return BehaviorDependentTactic(delta=self.delta)
-        if self.family == "mixed":
-            return MixedTactic(
-                components=tuple((w, spec.build()) for w, spec in self.mixture)
-            )
-        raise ParameterError(f"unknown tactic family {self.family!r}")
+def tactic_from_dict(raw) -> Tactic:
+    """Build a tactic from its scenario-file mapping: a ``family`` and its parameters.
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "TacticSpec":
-        family = raw.get("family")
-        if family is None:
-            raise ParameterError("tactic spec needs a 'family' field")
-        mixture = tuple(
-            (float(part["weight"]), cls.from_dict(part))
-            for part in raw.get("mixture", ())
-        )
-        return cls(
-            family=family,
-            k=float(raw.get("k", 0.0)),
-            beta=float(raw.get("beta", 1.0)),
-            delta=int(raw.get("delta", 1)),
-            mixture=mixture,
-        )
+    Every malformed or out-of-range field raises :class:`ParameterError`.
+    """
+    if not isinstance(raw, Mapping):
+        raise ParameterError(f"a tactic must be a mapping, got {raw!r}")
+    family = raw.get("family")
+    if family == "time-dependent":
+        return TimeDependentTactic(k=_number(raw, "k", 0.0), beta=_number(raw, "beta", 1.0))
+    if family == "resource-dependent":
+        return ResourceDependentTactic(k=_number(raw, "k", 0.0))
+    if family == "behavior-dependent":
+        return BehaviorDependentTactic(delta=raw.get("delta", 1))
+    if family == "mixed":
+        parts = raw.get("mixture", ())
+        if not isinstance(parts, (list, tuple)):
+            raise ParameterError(f"mixture must be a list, got {parts!r}")
+        components = []
+        for part in parts:
+            tactic = tactic_from_dict(part)  # first, so a part that is not a mapping is named
+            components.append((_number(part, "weight"), tactic))
+        return MixedTactic(components=tuple(components))
+    raise ParameterError(f"unknown tactic family {family!r}")

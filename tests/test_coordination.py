@@ -155,13 +155,13 @@ class TestRunOneToMany:
     def test_market_scenario_commits_a_contract(self, market_scenario):
         buyer = market_scenario.agent(market_scenario.buyer_id)
         suppliers = [
-            (spec.profile, spec.tactic.build())
+            (spec.profile, spec.tactic)
             for spec in market_scenario.agents
             if spec.id != market_scenario.buyer_id
         ]
         choice, results, traces = run_one_to_many(
             buyer.profile,
-            buyer.tactic.build,
+            buyer.tactic,
             suppliers,
             market_scenario.plan,
             max_rounds=market_scenario.max_rounds,
@@ -174,12 +174,12 @@ class TestRunOneToMany:
     def test_thread_seeds_replay_in_isolation(self, market_scenario):
         buyer = market_scenario.agent(market_scenario.buyer_id)
         suppliers = [
-            (spec.profile, spec.tactic.build())
+            (spec.profile, spec.tactic)
             for spec in market_scenario.agents
             if spec.id != market_scenario.buyer_id
         ]
         _, results, traces = run_one_to_many(
-            buyer.profile, buyer.tactic.build, suppliers,
+            buyer.profile, buyer.tactic, suppliers,
             market_scenario.plan, max_rounds=market_scenario.max_rounds,
             seed=market_scenario.seed, opener=market_scenario.opener,
         )
@@ -187,7 +187,7 @@ class TestRunOneToMany:
 
         for thread_id, (profile, tactic) in enumerate(suppliers):
             outcome, _ = run_session(
-                buyer.profile, profile, buyer.tactic.build(), tactic,
+                buyer.profile, profile, buyer.tactic, tactic,
                 max_rounds=market_scenario.max_rounds,
                 seed=market_scenario.seed + thread_id,
                 opener=market_scenario.opener,
@@ -198,7 +198,7 @@ class TestRunOneToMany:
         buyer = ladder_profile("buyer", deadline=20)
         # supplier deadlines differ, so threads finish at different rounds
         choice, results, traces = run_one_to_many(
-            buyer, TimeDependentTactic, self.suppliers(),
+            buyer, TimeDependentTactic(), self.suppliers(),
             CoordinationPlan("desperate"), max_rounds=60, seed=0,
         )
         assert choice is not None
@@ -212,7 +212,7 @@ class TestRunOneToMany:
     def test_patient_never_cancels(self):
         buyer = ladder_profile("buyer", deadline=20)
         _, results, _ = run_one_to_many(
-            buyer, TimeDependentTactic, self.suppliers(),
+            buyer, TimeDependentTactic(), self.suppliers(),
             CoordinationPlan("patient"), max_rounds=60, seed=0,
         )
         assert all(res.cancelled_at is None for res in results)
@@ -220,6 +220,6 @@ class TestRunOneToMany:
     def test_no_suppliers_rejected(self):
         with pytest.raises(PlanError):
             run_one_to_many(
-                ladder_profile("buyer"), TimeDependentTactic, [],
+                ladder_profile("buyer"), TimeDependentTactic(), [],
                 CoordinationPlan("desperate"),
             )

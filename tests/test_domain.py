@@ -157,6 +157,14 @@ class TestValidateProfile:
         violations = validate_profile(profile)
         assert len(violations) >= 3
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rating_and_weight_reported(self, bad):
+        issue = Issue("x", (IssueOption("z", 0.0), IssueOption("a", bad), IssueOption("b", 5.0)))
+        profile = PreferenceProfile("a", (issue,), {"x": bad}, deadline=5)
+        violations = validate_profile(profile)
+        assert any("non-finite option rating" in v for v in violations)
+        assert any("non-finite weight" in v for v in violations)
+
     def test_make_profile_normalizes_within_slack(self):
         with pytest.warns(UserWarning):
             profile = make_profile(

@@ -1,4 +1,5 @@
 import copy
+import math
 
 import pytest
 import yaml
@@ -126,6 +127,16 @@ class TestLoadScenario:
                 },
                 "mixture weights",
             ),
+            (("agents", 0, "tactic"), 5, "tactic must be a mapping"),
+            (("agents", 0, "predictor"), 5, "predictor"),
+            (("agents", 0, "predictor"), {"enabled": "no"}, "enabled"),
+            (("agents", 0, "weights", "price"), "fifty", "weight of issue 'price'"),
+            (("agents", 0, "ratings", "price", "high"), "high", "rating for option 'high'"),
+            (("agents", 0, "ratings", "price", "mid"), None, "rating for option 'mid'"),
+            (("agents", 0, "ratings", "price", "high"), math.nan, "non-finite option rating"),
+            (("agents", 0, "tactic"), {"family": "behavior-dependent", "delta": 1.5}, "delta"),
+            (("agents", 0, "tactic"), {"family": "time-dependent", "beta": -1}, "beta"),
+            (("agents", 0, "tactic"), {"family": "resource-dependent", "k": 2}, "k must be"),
         ],
         ids=[
             "seed-bool",
@@ -138,6 +149,16 @@ class TestLoadScenario:
             "ratings-list",
             "weights-list",
             "mixture-weight-sum",
+            "tactic-int",
+            "predictor-int",
+            "enabled-str",
+            "weight-str",
+            "rating-str",
+            "rating-null",
+            "rating-nan",
+            "delta-float",
+            "beta-negative",
+            "k-above-1",
         ],
     )
     def test_bad_field_is_a_listed_violation(self, tmp_path, path, value, named):

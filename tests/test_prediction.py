@@ -116,6 +116,20 @@ class TestFitRegression:
         with pytest.raises(DegenerateDataError):
             fit_regression(series((0, 10), (1, 12)), "quadratic")
 
+    @pytest.mark.parametrize(
+        "family, times",
+        [
+            ("linear", (1.0, math.nextafter(1.0, 2.0))),
+            ("power", (1.0, math.nextafter(1.0, 2.0))),
+            ("quadratic", (0.5, 1.0, math.nextafter(1.0, 2.0))),
+        ],
+    )
+    def test_rank_deficient_design_rejected(self, family, times):
+        # times one ulp apart give a design matrix of numerically deficient rank
+        points = tuple((t, 10.0 + 5.0 * i) for i, t in enumerate(times))
+        with pytest.raises(DegenerateDataError, match="singular"):
+            fit_regression(series(*points), family)
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             fit_regression(series((0, 10), (1, 12)), "cubic")

@@ -1,8 +1,10 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from negosim.domain import OfferVector, total_profit
+from negosim.domain import Issue, IssueOption, OfferVector, total_profit
+from negosim.prediction import PredictorConfig
 from negosim.protocol import (
     Accept,
     NegotiationState,
@@ -15,7 +17,13 @@ from negosim.protocol import (
     respond,
     run_session,
 )
-from negosim.tactics import Tactic, TimeDependentTactic
+from negosim.tactics import (
+    BehaviorDependentTactic,
+    MixedTactic,
+    ResourceDependentTactic,
+    Tactic,
+    TimeDependentTactic,
+)
 
 from conftest import ladder_profile, random_offer, random_profile
 
@@ -96,7 +104,7 @@ class TestRunSession:
     def test_overlapping_zones_reach_agreement(self, aircraft_scenario):
         a, b = aircraft_scenario.agents
         outcome, trace = run_session(
-            a.profile, b.profile, a.tactic.build(), b.tactic.build(),
+            a.profile, b.profile, a.tactic, b.tactic,
             max_rounds=60, seed=1, opener=b.id,
         )
         assert outcome.kind == "agreement"
@@ -105,7 +113,7 @@ class TestRunSession:
     def test_disjoint_zones_never_agree(self, disjoint_scenario):
         x, y = disjoint_scenario.agents
         outcome, _ = run_session(
-            x.profile, y.profile, x.tactic.build(), y.tactic.build(),
+            x.profile, y.profile, x.tactic, y.tactic,
             max_rounds=60, seed=1, opener=x.id,
         )
         assert outcome.kind in ("withdrawal", "deadline-expiry")
@@ -123,7 +131,7 @@ class TestRunSession:
     def test_trace_rounds_contiguous_and_alternating(self, aircraft_scenario):
         a, b = aircraft_scenario.agents
         _, trace = run_session(
-            a.profile, b.profile, a.tactic.build(), b.tactic.build(),
+            a.profile, b.profile, a.tactic, b.tactic,
             max_rounds=60, seed=0, opener=b.id,
         )
         rounds = [row.round for row in trace.rows]
@@ -136,7 +144,7 @@ class TestRunSession:
 
         def go():
             return run_session(
-                a.profile, b.profile, a.tactic.build(), b.tactic.build(),
+                a.profile, b.profile, a.tactic, b.tactic,
                 max_rounds=60, seed=5, opener=b.id,
             )
 
@@ -147,7 +155,7 @@ class TestRunSession:
     def test_accept_beats_own_planned_counter(self, aircraft_scenario):
         a, b = aircraft_scenario.agents
         outcome, trace = run_session(
-            a.profile, b.profile, a.tactic.build(), b.tactic.build(),
+            a.profile, b.profile, a.tactic, b.tactic,
             max_rounds=60, seed=0, opener=b.id,
         )
         assert outcome.kind == "agreement"
@@ -156,7 +164,7 @@ class TestRunSession:
         accepted_value = total_profit(profile, outcome.offer)
         # the counter the accepter would have sent scores strictly less
         spec = a if accepter == a.id else b
-        planned = spec.tactic.build().propose(profile, trace, outcome.round)
+        planned = spec.tactic.propose(profile, trace, outcome.round)
         assert accepted_value > total_profit(profile, planned)
 
     def test_incompatible_alphabets_rejected(self, aircraft_scenario):
@@ -197,3 +205,49 @@ def test_respond_branches_exclusive_and_exhaustive_randomized():
             assert isinstance(response, Accept)
         else:
             assert isinstance(response, Offer)
+
+
+def rerated(rng, profile, agent_id):
+    """The same issue alphabet and weights with each issue's ratings shuffled."""
+    issues = []
+    for issue in profile.issues:
+        ratings = [opt.rating for opt in issue.options]
+        rng.shuffle(ratings)
+        options = tuple(IssueOption(opt.label, r) for opt, r in zip(issue.options, ratings))
+        issues.append(Issue(issue.name, options))
+    return replace(profile, agent_id=agent_id, issues=tuple(issues), deadline=rng.randint(1, 20))
+
+
+def random_tactic(rng):
+    time = TimeDependentTactic(k=rng.uniform(0.0, 0.5), beta=rng.choice((0.5, 1.0, 2.0)))
+    resource = ResourceDependentTactic(k=rng.uniform(0.0, 0.5))
+    behavior = BehaviorDependentTactic(delta=rng.randint(1, 2))
+    w = rng.random()
+    mixed = MixedTactic(components=((w, time), (1.0 - w, behavior)))
+    return rng.choice((time, resource, behavior, mixed))
+
+
+def test_recorded_utilities_are_the_profiles_scores_randomized():
+    # readers take utilities from the trace instead of rescoring, so every
+    # recorded value must be exactly what total_profit gives
+    rng = random.Random(4242)
+    kinds = set()
+    for _ in range(200):
+        a = random_profile(rng, "a")
+        b = rerated(rng, a, "b")
+        profiles = {"a": a, "b": b}
+        predictor = PredictorConfig(enabled=True, warmup=rng.randint(2, 5))
+        outcome, trace = run_session(
+            a, b, random_tactic(rng), random_tactic(rng),
+            predictor_config=predictor, max_rounds=30, opener=rng.choice("ab"),
+        )
+        kinds.add(outcome.kind)
+        for row in trace:
+            receiver = "b" if row.proposer == "a" else "a"
+            assert row.utility_proposer == total_profit(profiles[row.proposer], row.offer)
+            assert row.utility_receiver == total_profit(profiles[receiver], row.offer)
+        if outcome.kind == "agreement":
+            assert list(outcome.utilities.items()) == [
+                (agent, total_profit(profile, outcome.offer)) for agent, profile in profiles.items()
+            ]
+    assert {"agreement", "early-termination"} <= kinds

@@ -10,11 +10,11 @@ from negosim.tactics import (
     ParameterError,
     ResourceDependentTactic,
     Tactic,
-    TacticSpec,
     TimeDependentTactic,
     behavior_target,
     offer_for_target,
     resource_alpha,
+    tactic_from_dict,
     target_from_alpha,
     time_alpha,
 )
@@ -204,15 +204,14 @@ class TestOfferMapping:
             assert total_profit(profile, OfferVector(choices)) >= 40.0
 
 
-class TestTacticSpec:
+class TestTacticFromDict:
     def test_round_trip_build(self):
-        spec = TacticSpec.from_dict({"family": "time-dependent", "k": 0.1, "beta": 2.0})
-        tactic = spec.build()
+        tactic = tactic_from_dict({"family": "time-dependent", "k": 0.1, "beta": 2.0})
         assert isinstance(tactic, TimeDependentTactic)
         assert tactic.k == 0.1 and tactic.beta == 2.0
 
     def test_mixture_spec(self):
-        spec = TacticSpec.from_dict(
+        tactic = tactic_from_dict(
             {
                 "family": "mixed",
                 "mixture": [
@@ -221,14 +220,31 @@ class TestTacticSpec:
                 ],
             }
         )
-        tactic = spec.build()
         assert isinstance(tactic, MixedTactic)
         assert isinstance(tactic.components[1][1], BehaviorDependentTactic)
 
     def test_resource_family(self):
-        tactic = TacticSpec.from_dict({"family": "resource-dependent", "k": 0.2}).build()
+        tactic = tactic_from_dict({"family": "resource-dependent", "k": 0.2})
         assert isinstance(tactic, ResourceDependentTactic)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ParameterError):
-            TacticSpec(family="psychic").build()
+            tactic_from_dict({"family": "psychic"})
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: TimeDependentTactic(beta=-1.0),
+        lambda: TimeDependentTactic(beta=math.nan),
+        lambda: TimeDependentTactic(k=2.0),
+        lambda: ResourceDependentTactic(k=-0.1),
+        lambda: BehaviorDependentTactic(delta=0),
+        lambda: BehaviorDependentTactic(delta=1.5),
+        lambda: BehaviorDependentTactic(delta=True),
+    ],
+    ids=["beta-negative", "beta-nan", "k-above-1", "k-negative", "delta-0", "delta-float", "delta-bool"],
+)
+def test_out_of_range_parameter_rejected_at_construction(make):
+    with pytest.raises(ParameterError):
+        make()
