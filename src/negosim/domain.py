@@ -206,6 +206,9 @@ def validate_profile(profile: PreferenceProfile) -> list[str]:
             violations.append(f"issue {issue.name!r} has no weight")
     if profile.deadline <= 0:
         violations.append(f"deadline {profile.deadline} must be > 0")
+    reservation = profile.reservation_utility
+    if reservation is not None and not 0.0 <= reservation <= 100.0:  # also rejects NaN
+        violations.append(f"reservation_utility {reservation:g} must be in [0, 100]")
     return violations
 
 

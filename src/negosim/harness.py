@@ -235,8 +235,9 @@ def _load_agent(entry, alphabet, violations) -> AgentSpec | None:
             continue
         extra = set(issue_ratings) - set(labels)
         if extra:
+            unknown = sorted(extra, key=repr)  # YAML keys may mix types, e.g. 1 and "x"
             violations.append(
-                f"agent {agent_id!r}: ratings for unknown options {sorted(extra)} of issue {name!r}"
+                f"agent {agent_id!r}: ratings for unknown options {unknown} of issue {name!r}"
             )
         options = []
         for label in labels:

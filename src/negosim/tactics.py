@@ -10,16 +10,17 @@ threshold by definition.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
+import numpy as np
+
 from .domain import (
+    InvalidProfileError,
     NegotiationError,
     OfferVector,
     PreferenceProfile,
-    enumerate_offers,
     reservation_utility,
     total_profit,  # not called here; perfbench/test_perfbench.py asserts this binding exists
 )
@@ -73,16 +74,32 @@ def offer_for_target(profile: PreferenceProfile, target: float) -> OfferVector:
     above every candidate, the best offer below it. Candidates exclude the
     agent's own zero-rated options; ties go to the lexicographically
     smallest label vector.
+
+    The zero-free offer space is scored in one numpy pass and dropped on
+    return; nothing is kept per profile. Each issue's options are sorted by
+    label, so the C-order flattening is the lexicographic tie order, and the
+    per-issue terms are added in issue order from 0.0, so every utility is
+    the float :func:`~negosim.domain.total_profit` returns.
     """
-    pool = enumerate_offers(profile, zero_free=True)  # best first, ties lexicographic
-    qualifying = list(itertools.takewhile(lambda entry: entry[1] >= target - 1e-9, pool))
-    if not qualifying:
-        return pool[0][0]  # nothing reaches the target; concede as little as possible
-    names = [issue.name for issue in profile.issues]
-    offer, _ = min(
-        qualifying, key=lambda entry: (entry[1], tuple(entry[0].choices[n] for n in names))
+    if not profile.issues:
+        raise InvalidProfileError("cannot pick an offer for a profile without issues")
+    menus = []
+    utilities = np.float64(0.0)
+    for issue in profile.issues:
+        options = sorted((opt for opt in issue.options if opt.rating != 0), key=lambda o: o.label)
+        if not options:
+            raise InvalidProfileError(f"issue {issue.name!r} has no positively rated option")
+        weight, max_rating = profile.weights[issue.name], issue.max_rating
+        terms = np.array([weight * opt.rating / max_rating for opt in options])
+        utilities = np.add.outer(utilities, terms)
+        menus.append(options)
+    flat = np.clip(utilities, 0.0, 100.0).ravel()
+    qualifying = flat[flat >= target - 1e-9]
+    best = qualifying.min() if qualifying.size else flat.max()  # else concede as little as possible
+    index = np.unravel_index(np.flatnonzero(flat == best)[0], utilities.shape)
+    return OfferVector(
+        choices={issue.name: menu[i].label for issue, menu, i in zip(profile.issues, menus, index)}
     )
-    return offer
 
 
 def behavior_target(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -164,6 +165,16 @@ class TestValidateProfile:
         violations = validate_profile(profile)
         assert any("non-finite option rating" in v for v in violations)
         assert any("non-finite weight" in v for v in violations)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, 150.0])
+    def test_reservation_utility_outside_0_100_reported(self, bad):
+        profile = dataclasses.replace(three_issue_profile(), reservation_utility=bad)
+        assert any("reservation_utility" in v for v in validate_profile(profile))
+
+    @pytest.mark.parametrize("edge", [0.0, 100.0])
+    def test_reservation_utility_range_is_closed(self, edge):
+        profile = dataclasses.replace(three_issue_profile(), reservation_utility=edge)
+        assert validate_profile(profile) == []
 
     def test_make_profile_normalizes_within_slack(self):
         with pytest.warns(UserWarning):

@@ -137,6 +137,13 @@ class TestLoadScenario:
             (("agents", 0, "tactic"), {"family": "behavior-dependent", "delta": 1.5}, "delta"),
             (("agents", 0, "tactic"), {"family": "time-dependent", "beta": -1}, "beta"),
             (("agents", 0, "tactic"), {"family": "resource-dependent", "k": 2}, "k must be"),
+            (
+                ("agents", 0, "ratings", "price"),
+                {"high": 90, "mid": 50, "low": 0, 1: 5, "x": 3},
+                "unknown options ['x', 1]",
+            ),
+            (("agents", 0, "reservation_utility"), math.nan, "reservation_utility nan"),
+            (("agents", 0, "reservation_utility"), 150, "reservation_utility 150"),
         ],
         ids=[
             "seed-bool",
@@ -159,6 +166,9 @@ class TestLoadScenario:
             "delta-float",
             "beta-negative",
             "k-above-1",
+            "ratings-unknown-keys-of-two-types",
+            "reservation_utility-nan",
+            "reservation_utility-above-100",
         ],
     )
     def test_bad_field_is_a_listed_violation(self, tmp_path, path, value, named):

@@ -1,8 +1,21 @@
+import itertools
 import math
+import random
+import tracemalloc
 
 import pytest
 
-from negosim.domain import OfferVector, reservation_utility, total_profit
+from negosim.domain import (
+    InvalidProfileError,
+    Issue,
+    IssueOption,
+    OfferVector,
+    PreferenceProfile,
+    enumerate_offers,
+    make_profile,
+    reservation_utility,
+    total_profit,
+)
 from negosim.protocol import SessionTrace, TraceRow
 from negosim.tactics import (
     BehaviorDependentTactic,
@@ -202,6 +215,88 @@ class TestOfferMapping:
         for t in range(0, 11):
             choices = tactic.propose(profile, SessionTrace(), t).choices
             assert total_profit(profile, OfferVector(choices)) >= 40.0
+
+    @pytest.mark.parametrize(
+        "issues",
+        [(), (Issue("x", (IssueOption("z", 0.0),)),)],
+        ids=["no-issues", "no-positively-rated-option"],
+    )
+    def test_profile_with_no_offer_rejected(self, issues):
+        profile = PreferenceProfile("a", issues, {"x": 100.0}, deadline=5)
+        with pytest.raises(InvalidProfileError):
+            offer_for_target(profile, 50.0)
+
+
+def scan_offer_for_target(profile, pool, target):
+    """Reference: scan ``enumerate_offers(profile, zero_free=True)``, as negosim once did."""
+    qualifying = list(itertools.takewhile(lambda entry: entry[1] >= target - 1e-9, pool))
+    if not qualifying:
+        return pool[0][0]
+    names = [issue.name for issue in profile.issues]
+    offer, _ = min(
+        qualifying, key=lambda entry: (entry[1], tuple(entry[0].choices[n] for n in names))
+    )
+    return offer
+
+
+# labels whose sort order differs from their option order: "B" < "a", "o10" < "o2"
+TIE_LABELS = ("o2", "o10", "a", "B", "o1", "Z")
+
+
+def tie_heavy_profile(rng: random.Random, agent_id: str) -> PreferenceProfile:
+    """1-4 issues with small integer ratings, so many offers share a utility."""
+    issues = []
+    for i in range(rng.randint(1, 4)):
+        labels = rng.sample(TIE_LABELS, rng.randint(2, len(TIE_LABELS)))
+        ratings = [0.0] + [float(rng.randint(1, 3)) for _ in labels[1:]]
+        rng.shuffle(ratings)
+        issues.append(Issue(f"issue{i}", tuple(map(IssueOption, labels, ratings))))
+    cuts = sorted(rng.sample(range(1, 100), len(issues) - 1))
+    weights = [float(b - a) for a, b in zip([0] + cuts, cuts + [100])]
+    return make_profile(agent_id, issues, dict(zip((iss.name for iss in issues), weights)), 10)
+
+
+def test_offer_for_target_matches_the_sorted_scan():
+    rng = random.Random(5)
+    cases = 0
+    for n in range(150):
+        profile = tie_heavy_profile(rng, f"agent{n}")
+        pool = enumerate_offers(profile, zero_free=True)  # best first, ties lexicographic
+        utilities = sorted({u for _, u in pool})
+        targets = [-5.0, 0.0, 100.0, 100.0 + 1e-6, 150.0]
+        for u in utilities:
+            targets += [u, u - 1e-9, u + 1e-9, u - 2e-9, u + 2e-9]
+        for target in targets:
+            expected = scan_offer_for_target(profile, pool, target)
+            offer = offer_for_target(profile, target)
+            assert list(offer.choices.items()) == list(expected.choices.items()), (n, target)
+            cases += 1
+    assert cases > 2000
+
+
+def test_offer_for_target_keeps_nothing_per_profile():
+    # a table kept per profile would be multiplied by every profile alive at once
+    rng = random.Random(11)
+
+    def five_by_five(n):
+        issues = []
+        for i in range(5):
+            ratings = [0.0] + [rng.uniform(1.0, 100.0) for _ in range(4)]
+            options = tuple(IssueOption(f"o{j}", r) for j, r in enumerate(ratings))
+            issues.append(Issue(f"i{i}", options))
+        return make_profile(f"agent{n}", issues, {f"i{i}": 20.0 for i in range(5)}, 10)
+
+    profiles = [five_by_five(n) for n in range(256)]
+    tracemalloc.start()
+    try:
+        offer_for_target(five_by_five(-1), 50.0)  # warm-up
+        before, _ = tracemalloc.get_traced_memory()
+        for profile in profiles:
+            offer_for_target(profile, 50.0)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 64 * 1024
 
 
 class TestTacticFromDict:
