@@ -124,9 +124,9 @@ def load_scenario(path: str | Path) -> Scenario:
     if not _is_int(max_rounds) or max_rounds < 0:
         violations.append(f"max_rounds must be a non-negative integer, got {max_rounds!r}")
     divergence_window = raw.get("divergence_window", 3)
-    if not _is_int(divergence_window) or divergence_window < 0:
+    if not _is_int(divergence_window) or not (divergence_window == 0 or divergence_window >= 2):
         violations.append(
-            f"divergence_window must be a non-negative integer, got {divergence_window!r}"
+            f"divergence_window must be 0 (off) or an integer >= 2, got {divergence_window!r}"
         )
 
     alphabet: list[tuple[str, tuple[str, ...]]] = []

@@ -55,11 +55,7 @@ class ObservationSeries:
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        ts = [t for t, _ in self.points]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise DataError("observation times must be strictly increasing")
-        if any(not (0 <= u <= 100) for _, u in self.points):
-            raise DataError("observed utilities must lie in [0, 100]")
+        _check_points(self.points)
 
     @property
     def t(self) -> np.ndarray:
@@ -71,6 +67,24 @@ class ObservationSeries:
 
     def __len__(self) -> int:
         return len(self.points)
+
+
+def _check_points(points, last_t: float | None = None) -> None:
+    """Raise :class:`DataError` unless the times strictly increase, starting
+    after ``last_t``, and every utility lies in [0, 100]."""
+    for t, u in points:
+        if last_t is not None and t <= last_t:
+            raise DataError("observation times must be strictly increasing")
+        if not 0 <= u <= 100:
+            raise DataError("observed utilities must lie in [0, 100]")
+        last_t = t
+
+
+class _RecordedSeries(ObservationSeries):
+    """A series whose points were checked one at a time, as they were recorded."""
+
+    def __post_init__(self) -> None:
+        pass
 
 
 @dataclass(frozen=True)
@@ -102,25 +116,39 @@ def fit_regression(series: ObservationSeries, family: str) -> RegressionFit:
         raise DegenerateDataError(
             f"{family} fit needs >= {_MIN_POINTS[family]} points, got {n}"
         )
-    t, u = series.t, series.u
+    return _fit(family, _Columns(series))
+
+
+class _Columns:
+    """The arrays every family's fit uses, built once per series."""
+
+    def __init__(self, series: ObservationSeries):
+        self.t, self.u = series.t, series.u
+        self.ones = np.ones_like(self.t)
+        self.t2 = self.t**2
+        self.quadratic = np.column_stack([self.ones, self.t, self.t2])  # linear: first 2 columns
+
+
+def _fit(family: str, cols: _Columns) -> RegressionFit:
+    t, u = cols.t, cols.u
     if family == "linear":
-        coef = _lstsq(np.column_stack([np.ones_like(t), t]), u)
+        coef = _lstsq(cols.quadratic[:, :2], u)
         a, b, c = float(coef[0]), float(coef[1]), 0.0
         pred = b * t + a
     elif family == "quadratic":
-        coef = _lstsq(np.column_stack([np.ones_like(t), t, t**2]), u)
+        coef = _lstsq(cols.quadratic, u)
         c, b, a = float(coef[0]), float(coef[1]), float(coef[2])
-        pred = a * t**2 + b * t + c
+        pred = a * cols.t2 + b * t + c
     else:  # power, via log-log linearization
-        if np.any(t <= 0) or np.any(u <= 0):
+        if (t <= 0).any() or (u <= 0).any():
             raise RegressionDomainError("power fit needs all t > 0 and all u > 0")
-        coef = _lstsq(np.column_stack([np.ones_like(t), np.log(t)]), np.log(u))
+        coef = _lstsq(np.column_stack([cols.ones, np.log(t)]), np.log(u))
         a, b, c = float(math.exp(coef[0])), float(coef[1]), 0.0
         pred = a * t**b
     if not all(map(math.isfinite, (a, b, c))):
         raise DegenerateDataError(f"{family} fit produced non-finite parameters")
-    sse = float(np.sum((pred - u) ** 2))
-    return RegressionFit(family=family, a=a, b=b, c=c, sse=sse, n_points=n)
+    sse = float(((pred - u) ** 2).sum())
+    return RegressionFit(family=family, a=a, b=b, c=c, sse=sse, n_points=len(t))
 
 
 def select_model(series: ObservationSeries) -> RegressionFit:
@@ -131,10 +159,11 @@ def select_model(series: ObservationSeries) -> RegressionFit:
     """
     if len(series) < _MIN_POINTS["quadratic"]:
         raise DegenerateDataError("model selection needs at least 3 points")
+    cols = _Columns(series)
     fits = []
     for family in FAMILIES:
         try:
-            fits.append(fit_regression(series, family))
+            fits.append(_fit(family, cols))
         except RegressionDomainError:
             continue
     if not fits:
@@ -380,8 +409,8 @@ class PredictorConfig:
         if not isinstance(enabled, bool):
             raise ValueError(f"enabled must be true or false, got {enabled!r}")
         warmup = raw.get("warmup", 5)
-        if not isinstance(warmup, int) or isinstance(warmup, bool):
-            raise ValueError(f"warmup must be an integer, got {warmup!r}")
+        if not isinstance(warmup, int) or isinstance(warmup, bool) or warmup < 0:
+            raise ValueError(f"warmup must be a non-negative integer, got {warmup!r}")
         return cls(enabled=enabled, warmup=warmup)
 
 
@@ -392,17 +421,40 @@ class Advice:
 
 
 class PredictorState:
-    """Per-agent, per-session prediction state: warm-up observation then advice."""
+    """Per-agent, per-session prediction state: warm-up observation then advice.
+
+    The state follows one session's trace: each call of :func:`advise`
+    records only the rows added since the previous call, and checks each
+    new observation once, as it is recorded.
+    """
 
     def __init__(self, config: PredictorConfig, agent_id: str):
         self.config = config
         self.agent_id = agent_id
         self.observations: list[tuple[float, float]] = []
         self.fit: RegressionFit | None = None
+        self.valid = True  # False for good once an observation breaks the series rules
+        self.reservation: float | None = None  # the agent's, looked up on first use
+        self._rows_seen = 0
 
     @property
     def mode(self) -> str:
         return "warm-up" if len(self.observations) < self.config.warmup else "active"
+
+    def record(self, trace: "SessionTrace", profile: PreferenceProfile) -> None:
+        """Append the opponent's offers that joined ``trace`` since the last call."""
+        new = [
+            (row.round / profile.deadline, row.utility_receiver)
+            for row in trace[self._rows_seen:]
+            if row.proposer != profile.agent_id and row.action == "offer"
+        ]
+        self._rows_seen = len(trace)
+        if self.valid:
+            try:
+                _check_points(new, self.observations[-1][0] if self.observations else None)
+            except DataError:
+                self.valid = False
+        self.observations += new
 
 
 def advise(state: PredictorState, trace: "SessionTrace", profile: PreferenceProfile) -> Advice:
@@ -411,18 +463,21 @@ def advise(state: PredictorState, trace: "SessionTrace", profile: PreferenceProf
     Active mode fits the best regression over (normalized time, utility of
     the opponent's offers under this agent's profile) and estimates when the
     curve reaches the agent's reservation; no crossing before the deadline
-    means the thread is not worth pursuing.
+    means the thread is not worth pursuing. Once an observation is out of
+    order or out of range, every later call advises ``continue``.
     """
-    incoming = trace.offers_to(profile.agent_id)
-    state.observations = [(row.round / profile.deadline, row.utility_receiver) for row in incoming]
+    state.record(trace, profile)
     if state.mode == "warm-up":
         return Advice(kind="none")
-    try:
-        series = ObservationSeries(points=tuple(state.observations))
-        state.fit = select_model(series)
-    except (DegenerateDataError, DataError):
+    if not state.valid:
         return Advice(kind="continue")
-    t_star = estimate_crossing(state.fit, reservation_utility(profile), 1.0)
+    try:
+        state.fit = select_model(_RecordedSeries(points=tuple(state.observations)))
+    except DegenerateDataError:
+        return Advice(kind="continue")
+    if state.reservation is None:
+        state.reservation = reservation_utility(profile)
+    t_star = estimate_crossing(state.fit, state.reservation, 1.0)
     if t_star is None:
         return Advice(kind="terminate-unprofitable")
     return Advice(kind="acceptance-forecast", t_star=t_star * profile.deadline)

@@ -21,7 +21,7 @@ from .domain import (
     PreferenceProfile,
     total_profit,
 )
-from .tactics import Tactic
+from .tactics import OfferTable, Tactic
 
 DEFAULT_DIVERGENCE_WINDOW = 3
 
@@ -49,11 +49,18 @@ class TraceRow:
 
 
 class SessionTrace:
-    """Append-only per-round record of offers and actions."""
+    """Append-only per-round record of offers and actions.
+
+    While a session runs, the trace also carries each party's
+    :class:`~negosim.tactics.OfferTable`, since the trace is the one
+    per-session object a tactic receives. :func:`run_session` drops the
+    tables before it returns.
+    """
 
     def __init__(self) -> None:
         self._rows: list[TraceRow] = []
         self.metadata: dict = {"fallbacks": []}
+        self._tables: dict[str, OfferTable] = {}
 
     @property
     def rows(self) -> tuple[TraceRow, ...]:
@@ -69,14 +76,27 @@ class SessionTrace:
     def note_fallback(self, agent_id: str, reason: str) -> None:
         self.metadata["fallbacks"].append((agent_id, len(self._rows), reason))
 
-    def offers_to(self, agent_id: str) -> list[TraceRow]:
-        return [r for r in self._rows if r.proposer != agent_id and r.action == "offer"]
+    def offer_table(self, profile: PreferenceProfile) -> OfferTable:
+        """``profile``'s offer table for this session, built on first use."""
+        table = self._tables.get(profile.agent_id)
+        if table is None or table.profile is not profile:
+            table = self._tables[profile.agent_id] = OfferTable(profile)
+        return table
+
+    def drop_tables(self) -> None:
+        self._tables.clear()
 
     def __len__(self) -> int:
         return len(self._rows)
 
+    def __getitem__(self, index):
+        return self._rows[index]
+
     def __iter__(self) -> Iterator[TraceRow]:
         return iter(self._rows)
+
+    def __reversed__(self) -> Iterator[TraceRow]:
+        return reversed(self._rows)
 
 
 @dataclass
@@ -145,18 +165,24 @@ def check_termination(
 
     Returns ``"threshold"`` when the latest incoming offer picks an option
     the agent rates zero, ``"diverging"`` when the last ``window`` incoming
-    offers are strictly losing value, else ``None`` (continue).
+    offers are strictly losing value, else ``None`` (continue). A trend
+    needs two offers, so a window below 2 never diverges.
     """
-    incoming = trace.offers_to(profile.agent_id)
-    if not incoming:
+    recent = []  # the latest incoming offers, newest first
+    for row in reversed(trace):
+        if row.proposer != profile.agent_id and row.action == "offer":
+            recent.append(row)
+            if len(recent) >= window:
+                break
+    if not recent:
         return None
-    latest = incoming[-1].offer
+    latest = recent[0].offer
     for issue in profile.issues:
         if latest.choices[issue.name] in issue.zero_rated_labels:
             return "threshold"
-    if window >= 1 and len(incoming) >= window:
-        utilities = [row.utility_receiver for row in incoming[-window:]]
-        if all(b < a for a, b in zip(utilities, utilities[1:])):
+    if window >= 2 and len(recent) >= window:
+        utilities = [row.utility_receiver for row in recent]  # newest first
+        if all(newer < older for newer, older in zip(utilities, utilities[1:])):
             return "diverging"
     return None
 
@@ -190,6 +216,7 @@ def run_session(
     mapping ``{agent_id: config}``) arms per-agent behavior prediction.
     Check order on a responding turn: deadline withdrawal, threshold /
     divergence termination, predictor advice, then accept-or-counter.
+    ``divergence_window`` is 0 (the divergence rule is off) or at least 2.
     """
     from .prediction import PredictorState, advise  # runtime import, avoids a cycle
 
@@ -202,6 +229,8 @@ def run_session(
         opener = profile_a.agent_id
     if opener not in profiles:
         raise SetupError(f"opener {opener!r} is not one of the parties")
+    if not (divergence_window == 0 or divergence_window >= 2):
+        raise SetupError(f"divergence_window must be 0 (off) or >= 2, got {divergence_window!r}")
 
     configs = (
         predictor_config
@@ -219,61 +248,65 @@ def run_session(
         order.reverse()
 
     trace = SessionTrace()
-    state = NegotiationState()
-    standing: TraceRow | None = None  # the offer on the table, as its proposer recorded it
-    round_no = 0
-    while round_no < max_rounds:
-        me = order[round_no % 2]
-        other = order[(round_no + 1) % 2]
-        profile = profiles[me]
-        state.round = round_no
-        try:
-            planned = tactics[me].propose(profile, trace, round_no)
-            # a malformed counter is a protocol violation by its proposer
-            planned_utilities = (
-                total_profit(profile, planned),
-                total_profit(profiles[other], planned),
-            )
-        except InvalidOfferError:
-            return SessionOutcome(kind="withdrawal", round=round_no, party=me), trace
-
-        outcome = None
-        if standing is not None:
-            mine, theirs = standing.utility_receiver, standing.utility_proposer
+    try:
+        state = NegotiationState()
+        standing: TraceRow | None = None  # the offer on the table, as its proposer recorded it
+        round_no = 0
+        while round_no < max_rounds:
+            me = order[round_no % 2]
+            other = order[(round_no + 1) % 2]
+            profile = profiles[me]
+            state.round = round_no
             try:
-                response = respond(profile, state, standing.offer, planned)
-            except ProtocolViolationError as exc:
-                return SessionOutcome(kind="withdrawal", round=round_no, party=exc.violator), trace
-            if isinstance(response, Withdraw):
-                action = "withdraw"
-                outcome = SessionOutcome(kind="withdrawal", round=round_no, party=me)
-            else:
-                reason = check_termination(trace, profile, divergence_window)
-                predictor = predictors[me]
-                if reason is None and predictor is not None:
-                    if advise(predictor, trace, profile).kind == "terminate-unprofitable":
-                        reason = "unprofitable"
-                if reason is not None:
-                    action = f"terminate-{reason}"
-                    outcome = SessionOutcome(
-                        kind="early-termination", round=round_no, party=me, reason=reason
-                    )
-                elif isinstance(response, Accept):
-                    action = "accept"
-                    outcome = SessionOutcome(
-                        kind="agreement",
-                        round=round_no,
-                        offer=response.offer,
-                        utilities={agent: mine if agent == me else theirs for agent in profiles},
-                    )
+                planned = tactics[me].propose(profile, trace, round_no)
+                # a malformed counter is a protocol violation by its proposer
+                planned_utilities = (
+                    total_profit(profile, planned),
+                    total_profit(profiles[other], planned),
+                )
+            except InvalidOfferError:
+                return SessionOutcome(kind="withdrawal", round=round_no, party=me), trace
 
-        if outcome is None:
-            row = TraceRow(round_no, me, planned, *planned_utilities, "offer")
-        else:  # a terminal row restates the standing offer from this party's side
-            row = TraceRow(round_no, me, standing.offer, mine, theirs, action)
-        trace.append(row)
-        if outcome is not None:
-            return outcome, trace
-        standing = row
-        round_no += 1
-    return SessionOutcome(kind="deadline-expiry", round=round_no), trace
+            outcome = None
+            if standing is not None:
+                mine, theirs = standing.utility_receiver, standing.utility_proposer
+                try:
+                    response = respond(profile, state, standing.offer, planned)
+                except ProtocolViolationError as exc:
+                    outcome = SessionOutcome(kind="withdrawal", round=round_no, party=exc.violator)
+                    return outcome, trace
+                if isinstance(response, Withdraw):
+                    action = "withdraw"
+                    outcome = SessionOutcome(kind="withdrawal", round=round_no, party=me)
+                else:
+                    reason = check_termination(trace, profile, divergence_window)
+                    predictor = predictors[me]
+                    if reason is None and predictor is not None:
+                        if advise(predictor, trace, profile).kind == "terminate-unprofitable":
+                            reason = "unprofitable"
+                    if reason is not None:
+                        action = f"terminate-{reason}"
+                        outcome = SessionOutcome(
+                            kind="early-termination", round=round_no, party=me, reason=reason
+                        )
+                    elif isinstance(response, Accept):
+                        action = "accept"
+                        outcome = SessionOutcome(
+                            kind="agreement",
+                            round=round_no,
+                            offer=response.offer,
+                            utilities={a: mine if a == me else theirs for a in profiles},
+                        )
+
+            if outcome is None:
+                row = TraceRow(round_no, me, planned, *planned_utilities, "offer")
+            else:  # a terminal row restates the standing offer from this party's side
+                row = TraceRow(round_no, me, standing.offer, mine, theirs, action)
+            trace.append(row)
+            if outcome is not None:
+                return outcome, trace
+            standing = row
+            round_no += 1
+        return SessionOutcome(kind="deadline-expiry", round=round_no), trace
+    finally:
+        trace.drop_tables()  # the tables are per session; a kept trace must not hold them

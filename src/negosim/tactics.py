@@ -62,24 +62,21 @@ def resource_alpha(r: float, k: float) -> float:
 
 
 def target_from_alpha(profile: PreferenceProfile, alpha: float) -> float:
+    return _concede(alpha, reservation_utility(profile))
+
+
+def _concede(alpha: float, reservation: float) -> float:
     alpha = min(max(alpha, 0.0), 1.0)
-    reservation = reservation_utility(profile)
     return MAX_UTILITY - alpha * (MAX_UTILITY - reservation)
 
 
-def offer_for_target(profile: PreferenceProfile, target: float) -> OfferVector:
-    """Cheapest concession meeting the target.
+def _zero_free_space(profile: PreferenceProfile) -> tuple[list, np.ndarray]:
+    """Each issue's nonzero-rated options sorted by label, and every offer's utility.
 
-    Picks the offer with the smallest utility >= target; if the target is
-    above every candidate, the best offer below it. Candidates exclude the
-    agent's own zero-rated options; ties go to the lexicographically
-    smallest label vector.
-
-    The zero-free offer space is scored in one numpy pass and dropped on
-    return; nothing is kept per profile. Each issue's options are sorted by
-    label, so the C-order flattening is the lexicographic tie order, and the
-    per-issue terms are added in issue order from 0.0, so every utility is
-    the float :func:`~negosim.domain.total_profit` returns.
+    The utilities form one array axis per issue. Its C-order flattening is
+    the lexicographic label order, and the per-issue terms are added in
+    issue order from 0.0, so every utility is the float
+    :func:`~negosim.domain.total_profit` returns.
     """
     if not profile.issues:
         raise InvalidProfileError("cannot pick an offer for a profile without issues")
@@ -93,13 +90,59 @@ def offer_for_target(profile: PreferenceProfile, target: float) -> OfferVector:
         terms = np.array([weight * opt.rating / max_rating for opt in options])
         utilities = np.add.outer(utilities, terms)
         menus.append(options)
-    flat = np.clip(utilities, 0.0, 100.0).ravel()
-    qualifying = flat[flat >= target - 1e-9]
-    best = qualifying.min() if qualifying.size else flat.max()  # else concede as little as possible
-    index = np.unravel_index(np.flatnonzero(flat == best)[0], utilities.shape)
+    return menus, np.clip(utilities, 0.0, 100.0)
+
+
+def _decode(profile: PreferenceProfile, menus: list, index: tuple) -> OfferVector:
     return OfferVector(
         choices={issue.name: menu[i].label for issue, menu, i in zip(profile.issues, menus, index)}
     )
+
+
+def offer_for_target(profile: PreferenceProfile, target: float) -> OfferVector:
+    """Cheapest concession meeting the target.
+
+    Picks the offer with the smallest utility >= target; if the target is
+    above every candidate, the best offer below it. Candidates exclude the
+    agent's own zero-rated options; ties go to the lexicographically
+    smallest label vector.
+
+    This is the per-call reference: the zero-free offer space is scored in
+    one numpy pass and dropped on return, and nothing is kept per profile.
+    A session picks from an :class:`OfferTable` instead.
+    """
+    menus, utilities = _zero_free_space(profile)
+    flat = utilities.ravel()
+    qualifying = flat[flat >= target - 1e-9]
+    best = qualifying.min() if qualifying.size else flat.max()  # else concede as little as possible
+    index = np.unravel_index(np.flatnonzero(flat == best)[0], utilities.shape)
+    return _decode(profile, menus, index)
+
+
+class OfferTable:
+    """One party's constants for one session: its reservation utility and its
+    zero-free offer space sorted by utility.
+
+    :meth:`offer` picks what :func:`offer_for_target` picks, by binary
+    search. The sort is stable over the C-order (lexicographic) flattening,
+    so among equal utilities the smallest label vector comes first.
+    """
+
+    def __init__(self, profile: PreferenceProfile):
+        self.profile = profile
+        self.reservation = reservation_utility(profile)
+        self._menus, utilities = _zero_free_space(profile)
+        self._shape = utilities.shape
+        flat = utilities.ravel()
+        self._order = np.argsort(flat, kind="stable")
+        self._sorted = flat[self._order]
+
+    def offer(self, target: float) -> OfferVector:
+        sorted_u = self._sorted
+        i = int(np.searchsorted(sorted_u, target - 1e-9))
+        if i == sorted_u.size:  # nothing qualifies: the first offer of the largest utility
+            i = int(np.searchsorted(sorted_u, sorted_u[-1]))
+        return _decode(self.profile, self._menus, np.unravel_index(self._order[i], self._shape))
 
 
 def behavior_target(
@@ -132,12 +175,15 @@ def behavior_target(
         return previous_target
     ratio = opp_utils[-delta - 1] / opp_utils[-delta]
     target = previous_target * ratio
-    reservation = reservation_utility(profile)
-    return min(max(target, reservation), MAX_UTILITY)
+    return min(max(target, trace.offer_table(profile).reservation), MAX_UTILITY)
 
 
 class Tactic:
-    """An offer generator: pure function of (profile, trace, round)."""
+    """An offer generator: pure function of (profile, trace, round).
+
+    Offers and reservation utilities come from the trace's per-session
+    :class:`OfferTable` of the proposing party.
+    """
 
     def target(self, profile: PreferenceProfile, trace: "SessionTrace", round: int) -> float:
         raise NotImplementedError
@@ -145,7 +191,7 @@ class Tactic:
     def propose(
         self, profile: PreferenceProfile, trace: "SessionTrace", round: int
     ) -> OfferVector:
-        offer = offer_for_target(profile, self.target(profile, trace, round))
+        offer = trace.offer_table(profile).offer(self.target(profile, trace, round))
         return offer.stamped(round, profile.agent_id)
 
 
@@ -159,7 +205,7 @@ class TimeDependentTactic(Tactic):
 
     def target(self, profile, trace, round):
         alpha = time_alpha(round, profile.deadline, self.k, self.beta)
-        return target_from_alpha(profile, alpha)
+        return _concede(alpha, trace.offer_table(profile).reservation)
 
 
 @dataclass(frozen=True)
@@ -176,7 +222,7 @@ class ResourceDependentTactic(Tactic):
 
     def target(self, profile, trace, round):
         alpha = resource_alpha(self.resource_remaining(profile, round), self.k)
-        return target_from_alpha(profile, alpha)
+        return _concede(alpha, trace.offer_table(profile).reservation)
 
 
 @dataclass(frozen=True)

@@ -111,9 +111,11 @@ class TestLoadScenario:
             (("max_rounds",), True, "max_rounds"),
             (("divergence_window",), "three", "divergence_window"),
             (("divergence_window",), -2, "divergence_window"),
+            (("divergence_window",), 1, "divergence_window"),
             (("agents", 0, "deadline"), "soon", "deadline"),
             (("agents", 0, "reservation_utility"), "high", "reservation_utility"),
             (("agents", 0, "predictor"), {"warmup": "x"}, "warmup"),
+            (("agents", 0, "predictor"), {"enabled": True, "warmup": -3}, "warmup"),
             (("agents", 0, "ratings"), [1, 2], "ratings"),
             (("agents", 0, "weights"), [50, 20], "weights"),
             (
@@ -150,9 +152,11 @@ class TestLoadScenario:
             "max_rounds-bool",
             "divergence_window-str",
             "divergence_window-negative",
+            "divergence_window-one",
             "deadline-str",
             "reservation_utility-str",
             "warmup-str",
+            "warmup-negative",
             "ratings-list",
             "weights-list",
             "mixture-weight-sum",

@@ -1,10 +1,11 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from negosim.domain import DiscretizationScheme, OfferVector
+from negosim.domain import DiscretizationScheme, OfferVector, reservation_utility
 from negosim.prediction import (
     Advice,
     DataError,
@@ -392,3 +393,64 @@ class TestAdvise:
         state = self.state()
         advise(state, trace, profile)
         assert state.observations == [(0.0, 10.0), (0.2, 20.0)]
+
+
+def rebuilt_advice(rows, profile, warmup, last_fit):
+    """Reference: the advice from a series rebuilt, and checked, from the whole trace."""
+    incoming = [r for r in rows if r.proposer != profile.agent_id and r.action == "offer"]
+    points = tuple((r.round / profile.deadline, r.utility_receiver) for r in incoming)
+    if len(points) < warmup:
+        return Advice(kind="none"), last_fit
+    try:
+        fit = select_model(ObservationSeries(points=points))
+    except (DegenerateDataError, DataError):
+        return Advice(kind="continue"), last_fit
+    t_star = estimate_crossing(fit, reservation_utility(profile), 1.0)
+    if t_star is None:
+        return Advice(kind="terminate-unprofitable"), fit
+    return Advice(kind="acceptance-forecast", t_star=t_star * profile.deadline), fit
+
+
+def test_incremental_state_matches_the_rebuilt_series_randomized():
+    rng = random.Random(2024)
+    kinds = set()
+    broken_calls = 0
+    for _ in range(300):
+        reservation = rng.choice((None, rng.uniform(0.0, 100.0)))
+        profile = ladder_profile(deadline=rng.randint(5, 60), reservation=reservation)
+        warmup = rng.randint(0, 6)
+        state = PredictorState(PredictorConfig(enabled=True, warmup=warmup), profile.agent_id)
+        start, slope = rng.uniform(0.0, 100.0), rng.uniform(-1.0, 1.5)
+        on_ladder = rng.random() < 0.3  # multiples of 10: ties, zeros and flat runs
+        faulty = rng.random() < 0.3
+        # a list of rows stands in for the trace, so that rounds can go backwards
+        rows, fit, broken, last_time = [], None, False, None
+        for r in range(rng.randint(1, 80)):
+            if rng.random() < 0.5:
+                own = OfferVector({"value": "p9"})
+                rows.append(TraceRow(r, profile.agent_id, own, 90.0, 10.0, "offer"))
+            else:
+                u = min(max(start + slope * r + rng.gauss(0.0, 3.0), 0.0), 100.0)
+                u = float(round(u, -1)) if on_ladder else u
+                round_no = r
+                if faulty and rng.random() < 0.05:
+                    u = rng.choice((100.5, -1.0, math.nan))
+                if faulty and last_time is not None and rng.random() < 0.05:
+                    round_no = rows[-1].round if rows[-1].proposer == "opponent" else r - 2
+                time = round_no / profile.deadline
+                out_of_order = last_time is not None and time <= last_time
+                broken = broken or out_of_order or not 0 <= u <= 100
+                last_time = time
+                theirs = OfferVector({"value": "p5"})
+                rows.append(TraceRow(round_no, "opponent", theirs, 100.0 - u, u, "offer"))
+            if rng.random() < 0.7:
+                expected, fit = rebuilt_advice(rows, profile, warmup, fit)
+                advice = advise(state, rows, profile)
+                assert advice == expected
+                assert state.fit == fit
+                if broken and state.mode == "active":
+                    assert advice.kind == "continue"
+                    broken_calls += 1
+                kinds.add(advice.kind)
+    assert kinds == {"none", "continue", "terminate-unprofitable", "acceptance-forecast"}
+    assert broken_calls > 100

@@ -251,3 +251,50 @@ def test_recorded_utilities_are_the_profiles_scores_randomized():
                 (agent, total_profit(profile, outcome.offer)) for agent, profile in profiles.items()
             ]
     assert {"agreement", "early-termination"} <= kinds
+
+
+@pytest.mark.parametrize("window", [1, -1])
+def test_divergence_window_of_one_rejected(window):
+    # one offer is not a trend: a window of 1 would end every session at its first reply
+    a, b = ladder_profile("a"), ladder_profile("b")
+    with pytest.raises(SetupError):
+        run_session(a, b, TimeDependentTactic(), TimeDependentTactic(), divergence_window=window)
+
+
+def test_single_offer_is_not_a_diverging_trend():
+    profile = ladder_profile()
+    trace = incoming_trace(profile, [50.0])
+    assert check_termination(trace, profile, window=1) is None
+    assert check_termination(trace, profile, window=0) is None
+
+
+def whole_trace_check(trace, profile, window):
+    """Reference: the termination rules over every incoming offer of the trace."""
+    incoming = [r for r in trace if r.proposer != profile.agent_id and r.action == "offer"]
+    if not incoming:
+        return None
+    if any(incoming[-1].offer.choices[i.name] in i.zero_rated_labels for i in profile.issues):
+        return "threshold"
+    if window >= 2 and len(incoming) >= window:
+        utilities = [row.utility_receiver for row in incoming[-window:]]
+        if all(b < a for a, b in zip(utilities, utilities[1:])):
+            return "diverging"
+    return None
+
+
+def test_check_termination_matches_the_whole_trace_rules_randomized():
+    rng = random.Random(77)
+    verdicts = set()
+    for _ in range(500):
+        profile = ladder_profile()
+        trace = SessionTrace()
+        for r in range(rng.randint(0, 12)):
+            proposer = rng.choice((profile.agent_id, "opponent"))
+            action = "offer" if rng.random() < 0.9 else "withdraw"
+            u = float(rng.choice(range(0, 101, 10)))
+            trace.append(TraceRow(r, proposer, ladder_offer(u), 100.0 - u, u, action))
+        for window in (0, 2, 3, 4):
+            verdict = check_termination(trace, profile, window)
+            assert verdict == whole_trace_check(trace, profile, window)
+            verdicts.add(verdict)
+    assert verdicts == {None, "threshold", "diverging"}

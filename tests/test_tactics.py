@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from negosim.domain import (
@@ -16,7 +17,7 @@ from negosim.domain import (
     reservation_utility,
     total_profit,
 )
-from negosim.protocol import SessionTrace, TraceRow
+from negosim.protocol import SessionTrace, TraceRow, run_session
 from negosim.tactics import (
     BehaviorDependentTactic,
     MixedTactic,
@@ -266,10 +267,13 @@ def test_offer_for_target_matches_the_sorted_scan():
         targets = [-5.0, 0.0, 100.0, 100.0 + 1e-6, 150.0]
         for u in utilities:
             targets += [u, u - 1e-9, u + 1e-9, u - 2e-9, u + 2e-9]
+        trace = SessionTrace()  # a session's table: built once per profile, reused per target
         for target in targets:
             expected = scan_offer_for_target(profile, pool, target)
             offer = offer_for_target(profile, target)
             assert list(offer.choices.items()) == list(expected.choices.items()), (n, target)
+            picked = FixedTargetTactic(target).propose(profile, trace, 0)
+            assert list(picked.choices.items()) == list(expected.choices.items()), (n, target)
             cases += 1
     assert cases > 2000
 
@@ -297,6 +301,46 @@ def test_offer_for_target_keeps_nothing_per_profile():
     finally:
         tracemalloc.stop()
     assert after - before < 64 * 1024
+
+
+def test_run_session_keeps_no_offer_table():
+    # the kept traces hold rows only: a table left on each would cost 256 x 16 KB
+    rng = random.Random(11)
+
+    def five_by_five(n):
+        issues = []
+        for i in range(5):
+            ratings = [0.0] + [rng.uniform(1.0, 100.0) for _ in range(4)]
+            options = tuple(IssueOption(f"o{j}", r) for j, r in enumerate(ratings))
+            issues.append(Issue(f"i{i}", options))
+        return make_profile(f"agent{n}", issues, {f"i{i}": 20.0 for i in range(5)}, 10)
+
+    tactic = TimeDependentTactic(beta=2.0)
+
+    def play(profiles):
+        pairs = zip(profiles[::2], profiles[1::2])
+        return [run_session(a, b, tactic, tactic, max_rounds=20) for a, b in pairs]
+
+    profiles = [five_by_five(n) for n in range(256)]
+    warm_up = [five_by_five(n) for n in range(256, 512)]
+    numpy_only = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    tracemalloc.start()
+    try:
+        # freed objects parked on the interpreter's free lists still count as
+        # traced, so fill those lists first, with profiles that are then dropped
+        play(warm_up)
+        del warm_up
+        before = tracemalloc.take_snapshot().filter_traces(numpy_only)
+        total_before, _ = tracemalloc.get_traced_memory()
+        results = play(profiles)
+        after = tracemalloc.take_snapshot().filter_traces(numpy_only)
+        del results
+        total_after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept_arrays = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+    assert kept_arrays < 64 * 1024  # with the traces kept
+    assert total_after - total_before < 64 * 1024  # nothing kept per profile
 
 
 class TestTacticFromDict:
