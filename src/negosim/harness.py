@@ -183,9 +183,16 @@ def load_scenario(path: str | Path) -> Scenario:
             except PlanError as exc:
                 violations.append(str(exc))
 
-    opener = raw.get("opener", ids[0] if ids else None)
-    if ids and opener not in ids:
-        violations.append(f"opener {opener!r} is not a declared agent")
+    if mode == "one-to-many":  # the buyer is the one party of every thread
+        opener = raw.get("opener", buyer_id)
+        if buyer_id in ids and opener != buyer_id:
+            violations.append(
+                f"opener {opener!r} must be the coordination buyer {buyer_id!r} in one-to-many mode"
+            )
+    else:
+        opener = raw.get("opener", ids[0] if ids else None)
+        if ids and opener not in ids:
+            violations.append(f"opener {opener!r} is not a declared agent")
 
     if violations:
         raise ScenarioError(str(path), violations)

@@ -399,19 +399,20 @@ class PredictorConfig:
     enabled: bool = False
     warmup: int = 5  # rounds of pure observation before any advice
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.enabled, bool):
+            raise ValueError(f"enabled must be true or false, got {self.enabled!r}")
+        warmup = self.warmup
+        if not isinstance(warmup, int) or isinstance(warmup, bool) or warmup < 0:
+            raise ValueError(f"warmup must be a non-negative integer, got {warmup!r}")
+
     @classmethod
     def from_dict(cls, raw: dict | None) -> "PredictorConfig":
         if raw is None:
             return cls()
         if not isinstance(raw, dict):
             raise ValueError(f"must be a mapping, got {raw!r}")
-        enabled = raw.get("enabled", False)
-        if not isinstance(enabled, bool):
-            raise ValueError(f"enabled must be true or false, got {enabled!r}")
-        warmup = raw.get("warmup", 5)
-        if not isinstance(warmup, int) or isinstance(warmup, bool) or warmup < 0:
-            raise ValueError(f"warmup must be a non-negative integer, got {warmup!r}")
-        return cls(enabled=enabled, warmup=warmup)
+        return cls(enabled=raw.get("enabled", False), warmup=raw.get("warmup", 5))
 
 
 @dataclass(frozen=True)

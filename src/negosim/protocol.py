@@ -2,7 +2,9 @@
 
 Each round one party acts: it either opens with an offer or responds to the
 standing offer. A response is withdraw (past its deadline), accept (the
-incoming offer beats the counter it was about to send) or a counteroffer.
+incoming offer beats the counter it was about to send) or a counteroffer;
+:func:`respond` is that law, and :func:`run_session` applies it to the
+utilities the trace recorded when each offer was scored.
 On top of the response function sit the early-termination rules: an incoming
 offer that picks one of the receiver's zero-rated options, a strictly
 diverging utility trend, or a predictor verdict that the thread cannot
@@ -249,14 +251,12 @@ def run_session(
 
     trace = SessionTrace()
     try:
-        state = NegotiationState()
         standing: TraceRow | None = None  # the offer on the table, as its proposer recorded it
         round_no = 0
         while round_no < max_rounds:
             me = order[round_no % 2]
             other = order[(round_no + 1) % 2]
             profile = profiles[me]
-            state.round = round_no
             try:
                 planned = tactics[me].propose(profile, trace, round_no)
                 # a malformed counter is a protocol violation by its proposer
@@ -269,13 +269,9 @@ def run_session(
 
             outcome = None
             if standing is not None:
+                # respond()'s law, on the utilities recorded when each offer was scored
                 mine, theirs = standing.utility_receiver, standing.utility_proposer
-                try:
-                    response = respond(profile, state, standing.offer, planned)
-                except ProtocolViolationError as exc:
-                    outcome = SessionOutcome(kind="withdrawal", round=round_no, party=exc.violator)
-                    return outcome, trace
-                if isinstance(response, Withdraw):
+                if round_no > profile.deadline:
                     action = "withdraw"
                     outcome = SessionOutcome(kind="withdrawal", round=round_no, party=me)
                 else:
@@ -289,12 +285,12 @@ def run_session(
                         outcome = SessionOutcome(
                             kind="early-termination", round=round_no, party=me, reason=reason
                         )
-                    elif isinstance(response, Accept):
+                    elif mine > planned_utilities[0]:
                         action = "accept"
                         outcome = SessionOutcome(
                             kind="agreement",
                             round=round_no,
-                            offer=response.offer,
+                            offer=standing.offer,
                             utilities={a: mine if a == me else theirs for a in profiles},
                         )
 

@@ -99,33 +99,12 @@ def _decode(profile: PreferenceProfile, menus: list, index: tuple) -> OfferVecto
     )
 
 
-def offer_for_target(profile: PreferenceProfile, target: float) -> OfferVector:
-    """Cheapest concession meeting the target.
-
-    Picks the offer with the smallest utility >= target; if the target is
-    above every candidate, the best offer below it. Candidates exclude the
-    agent's own zero-rated options; ties go to the lexicographically
-    smallest label vector.
-
-    This is the per-call reference: the zero-free offer space is scored in
-    one numpy pass and dropped on return, and nothing is kept per profile.
-    A session picks from an :class:`OfferTable` instead.
-    """
-    menus, utilities = _zero_free_space(profile)
-    flat = utilities.ravel()
-    qualifying = flat[flat >= target - 1e-9]
-    best = qualifying.min() if qualifying.size else flat.max()  # else concede as little as possible
-    index = np.unravel_index(np.flatnonzero(flat == best)[0], utilities.shape)
-    return _decode(profile, menus, index)
-
-
 class OfferTable:
     """One party's constants for one session: its reservation utility and its
     zero-free offer space sorted by utility.
 
-    :meth:`offer` picks what :func:`offer_for_target` picks, by binary
-    search. The sort is stable over the C-order (lexicographic) flattening,
-    so among equal utilities the smallest label vector comes first.
+    The sort is stable over the C-order (lexicographic) flattening, so among
+    equal utilities the smallest label vector comes first.
     """
 
     def __init__(self, profile: PreferenceProfile):
@@ -138,11 +117,24 @@ class OfferTable:
         self._sorted = flat[self._order]
 
     def offer(self, target: float) -> OfferVector:
+        """Cheapest concession meeting the target, by binary search.
+
+        Picks the offer with the smallest utility >= target; if the target
+        is above every candidate, the best offer below it. Candidates
+        exclude the agent's own zero-rated options; ties go to the
+        lexicographically smallest label vector.
+        """
         sorted_u = self._sorted
         i = int(np.searchsorted(sorted_u, target - 1e-9))
         if i == sorted_u.size:  # nothing qualifies: the first offer of the largest utility
             i = int(np.searchsorted(sorted_u, sorted_u[-1]))
         return _decode(self.profile, self._menus, np.unravel_index(self._order[i], self._shape))
+
+
+def offer_for_target(profile: PreferenceProfile, target: float) -> OfferVector:
+    """:meth:`OfferTable.offer` on a table built for this call and dropped on
+    return, so nothing is kept per profile."""
+    return OfferTable(profile).offer(target)
 
 
 def behavior_target(

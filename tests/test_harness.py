@@ -192,6 +192,31 @@ class TestLoadScenario:
         assert result.exit_code != 0
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("explicit", [True, False], ids=["supplier-opener", "supplier-first"])
+    def test_one_to_many_opener_is_the_buyer(self, tmp_path, explicit):
+        raw = yaml.safe_load(bundled_scenario("aircraft_market.scenario").read_text())
+        if explicit:
+            raw["opener"] = "seller_1"
+        else:  # without an opener, listing a supplier first must not make it the opener
+            del raw["opener"]
+            raw["agents"].append(raw["agents"].pop(0))
+        scenario_path = write_scenario(tmp_path, raw)
+        result = CliRunner().invoke(
+            main, ["run", "--scenario", str(scenario_path), "--out", str(tmp_path / "out")]
+        )
+        assert "Traceback" not in result.output
+        if explicit:
+            with pytest.raises(ScenarioError) as exc:
+                load_scenario(scenario_path)
+            assert any("coordination buyer 'company_b'" in v for v in exc.value.violations)
+            assert isinstance(result.exception, SystemExit)
+            assert result.exit_code != 0
+        else:
+            scenario = load_scenario(scenario_path)
+            assert scenario.agents[0].id == "seller_1"
+            assert scenario.opener == "company_b"
+            assert result.exit_code == 0, result.output
+
     def test_market_scenario_has_plan(self, market_scenario):
         assert market_scenario.mode == "one-to-many"
         assert market_scenario.plan.strategy == "adapted"

@@ -353,6 +353,17 @@ class TestFeatureEncoding:
         assert encode_categorical(70.0, scheme) == 1.0
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [{"enabled": True, "warmup": -3}, {"warmup": True}, {"warmup": 2.0}, {"enabled": "no"}],
+    ids=["warmup-negative", "warmup-bool", "warmup-float", "enabled-str"],
+)
+def test_bad_predictor_config_rejected_at_construction(fields):
+    # checked once, however the config is built, not only when loaded from a scenario
+    with pytest.raises(ValueError):
+        PredictorConfig(**fields)
+
+
 class TestAdvise:
     def state(self, warmup=5):
         return PredictorState(PredictorConfig(enabled=True, warmup=warmup), "agent")

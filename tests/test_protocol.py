@@ -298,3 +298,47 @@ def test_check_termination_matches_the_whole_trace_rules_randomized():
             assert verdict == whole_trace_check(trace, profile, window)
             verdicts.add(verdict)
     assert verdicts == {None, "threshold", "diverging"}
+
+
+def test_session_replies_follow_respond_randomized():
+    # run_session decides each reply from recorded utilities; respond() is the law
+    rng = random.Random(2718)
+    kinds, actions = set(), set()
+    for n in range(300):
+        a = random_profile(rng, "a")
+        b = rerated(rng, a, "b")
+        profiles = {"a": a, "b": b}
+        tactics = {"a": random_tactic(rng), "b": random_tactic(rng)}
+        predictor = PredictorConfig(enabled=True, warmup=rng.randint(2, 5))
+        # deadlines are at most 20, so only a shorter session can expire
+        max_rounds = 30 if n % 5 else rng.randint(2, 10)
+        outcome, trace = run_session(
+            a, b, tactics["a"], tactics["b"],
+            predictor_config=predictor, max_rounds=max_rounds, opener=rng.choice("ab"),
+        )
+        kinds.add(outcome.kind)
+        rows = trace.rows
+        for r in range(1, len(rows)):
+            row = rows[r]
+            if row.action == "offer":
+                planned = row.offer
+            else:
+                replay = SessionTrace()
+                for earlier in rows[:r]:
+                    replay.append(earlier)
+                planned = tactics[row.proposer].propose(profiles[row.proposer], replay, r)
+            state = NegotiationState(round=r)
+            response = respond(profiles[row.proposer], state, rows[r - 1].offer, planned)
+            if row.action == "offer":
+                assert isinstance(response, Offer), (r, row)
+            elif row.action == "withdraw":
+                assert isinstance(response, Withdraw), (r, row)
+            elif row.action == "accept":
+                assert isinstance(response, Accept), (r, row)
+            else:
+                assert row.action.startswith("terminate-")
+                assert not isinstance(response, Withdraw), (r, row)
+            actions.add(row.action)
+    assert kinds == {"agreement", "withdrawal", "early-termination", "deadline-expiry"}
+    assert {"offer", "accept", "withdraw"} <= actions
+    assert any(action.startswith("terminate-") for action in actions)

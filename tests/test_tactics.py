@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -324,6 +325,9 @@ def test_run_session_keeps_no_offer_table():
     profiles = [five_by_five(n) for n in range(256)]
     warm_up = [five_by_five(n) for n in range(256, 512)]
     numpy_only = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    # a full collection empties the free lists; one that fell between the
+    # warm-up and the first reading would count their refill as kept memory
+    gc.disable()
     tracemalloc.start()
     try:
         # freed objects parked on the interpreter's free lists still count as
@@ -338,6 +342,7 @@ def test_run_session_keeps_no_offer_table():
         total_after, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+        gc.enable()
     kept_arrays = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
     assert kept_arrays < 64 * 1024  # with the traces kept
     assert total_after - total_before < 64 * 1024  # nothing kept per profile
