@@ -9,11 +9,12 @@ patient fallback (adapted). Results are always observed in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .domain import NegotiationError, PreferenceProfile
-from .protocol import SessionOutcome, SessionTrace, run_session
+from .domain import NegotiationError, PreferenceProfile, is_number
+from .protocol import DEFAULT_DIVERGENCE_WINDOW, SessionOutcome, SessionTrace, run_session
 from .tactics import Tactic
 
 STRATEGIES = ("desperate", "patient", "adapted")
@@ -49,6 +50,8 @@ class CoordinationPlan:
             raise PlanError("adapted strategy requires a threshold theta")
         if self.strategy != "adapted" and self.theta is not None:
             raise PlanError(f"{self.strategy} strategy takes no threshold")
+        if self.theta is not None and not (is_number(self.theta) and 0 <= self.theta < math.inf):
+            raise PlanError(f"theta must be a finite number >= 0, got {self.theta!r}")
 
 
 @dataclass(frozen=True)
@@ -120,16 +123,13 @@ def run_one_to_many(
     suppliers: Sequence[tuple[PreferenceProfile, Tactic]],
     plan: CoordinationPlan,
     max_rounds: int = 100,
-    seed: int = 0,
     predictor_config=None,
-    opener: str | None = None,
-    divergence_window: int = 3,
+    divergence_window: int = DEFAULT_DIVERGENCE_WINDOW,
 ) -> tuple[ContractChoice | None, list[SubBuyerResult], list[SessionTrace]]:
     """Run every sub-buyer thread, then coordinate.
 
-    Thread i derives its seed as ``seed + i`` so single threads replay in
-    isolation. Losing threads still running when the coordinator commits
-    are marked coordinator-cancelled in their traces.
+    The buyer opens every thread. Losing threads still running when the
+    coordinator commits are marked coordinator-cancelled in their traces.
     """
     if not suppliers:
         raise PlanError("one-to-many mode needs at least one supplier")
@@ -143,8 +143,6 @@ def run_one_to_many(
             supplier_tactic,
             predictor_config=predictor_config,
             max_rounds=max_rounds,
-            seed=seed + thread_id,
-            opener=opener or buyer_profile.agent_id,
             divergence_window=divergence_window,
         )
         utility = None

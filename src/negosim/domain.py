@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 WEIGHT_TOTAL = 100.0
@@ -26,6 +27,14 @@ class InvalidProfileError(NegotiationError):
 
 class OutOfDomainError(NegotiationError):
     """A value falls outside a discretization scheme's covered domain."""
+
+
+def is_number(value) -> bool:
+    """A real number that has a float value; a boolean is not a number, nor is
+    an integer beyond the float range."""
+    return isinstance(value, float) or (
+        isinstance(value, int) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    )
 
 
 @dataclass(frozen=True)
@@ -68,14 +77,9 @@ class OfferVector:
     """One option chosen per issue; the unit exchanged between agents."""
 
     choices: Mapping[str, str]
-    round: int | None = None
-    proposer: str | None = None
-
-    def stamped(self, round: int, proposer: str) -> "OfferVector":
-        return replace(self, round=round, proposer=proposer)
 
     def __hash__(self) -> int:  # choices is a plain dict; hash a frozen view
-        return hash((tuple(sorted(self.choices.items())), self.round, self.proposer))
+        return hash(tuple(sorted(self.choices.items())))
 
 
 @dataclass(frozen=True)
@@ -109,8 +113,8 @@ class DiscretizationScheme:
 class PreferenceProfile:
     """An agent's private weights, option ratings and deadline.
 
-    Weights are normalized to sum to 100 by :func:`make_profile`; the original
-    sum is kept for diagnostics. ``reservation_utility`` of ``None`` means the
+    Weights are normalized to sum to 100 by :func:`make_profile`, which
+    warns with the original sum. ``reservation_utility`` of ``None`` means the
     default: the lowest utility attainable without picking any zero-rated
     (threshold) option.
     """
@@ -120,13 +124,6 @@ class PreferenceProfile:
     weights: Mapping[str, float]
     deadline: int
     reservation_utility: float | None = None
-    original_weight_sum: float = WEIGHT_TOTAL
-
-    def issue(self, name: str) -> Issue:
-        for iss in self.issues:
-            if iss.name == name:
-                return iss
-        raise InvalidOfferError(f"profile {self.agent_id!r} has no issue {name!r}")
 
 
 def make_profile(
@@ -160,7 +157,6 @@ def make_profile(
         weights=normalized,
         deadline=deadline,
         reservation_utility=reservation_utility,
-        original_weight_sum=total,
     )
 
 

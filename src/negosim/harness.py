@@ -2,8 +2,8 @@
 
 Scenario files are YAML with a versioned schema: a shared issue alphabet,
 per-agent private ratings/weights/tactics, and an optional one-to-many
-coordination section. Batches are deterministic: session ``i`` derives its
-seed as ``scenario seed + i``, and output files are byte-stable.
+coordination section. Batches are deterministic: nothing in a session is
+random, and output files are byte-stable.
 """
 
 from __future__ import annotations
@@ -30,11 +30,12 @@ from .domain import (
     InvalidProfileError,
     NegotiationError,
     PreferenceProfile,
+    is_number,
     make_profile,
     validate_profile,
 )
 from .prediction import PredictorConfig
-from .protocol import SessionOutcome, SessionTrace, run_session
+from .protocol import DEFAULT_DIVERGENCE_WINDOW, SessionOutcome, SessionTrace, run_session
 from .tactics import ParameterError, Tactic, TimeDependentTactic, tactic_from_dict
 
 SCHEMA_VERSION = 1
@@ -53,7 +54,6 @@ class ScenarioError(NegotiationError):
 @dataclass(frozen=True)
 class AgentSpec:
     id: str
-    role: str
     profile: PreferenceProfile
     tactic: Tactic
     predictor: PredictorConfig
@@ -66,7 +66,7 @@ class Scenario:
     opener: str
     max_rounds: int
     agents: tuple[AgentSpec, ...]
-    divergence_window: int = 3
+    divergence_window: int = DEFAULT_DIVERGENCE_WINDOW
     plan: CoordinationPlan | None = None
     buyer_id: str | None = None
     supplier_ids: tuple[str, ...] = ()
@@ -89,10 +89,6 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)  # YAML true is not a count
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def bundled_scenario(name: str) -> Path:
     """Path of a scenario file shipped with the package."""
     return Path(resources.files("negosim") / "scenarios" / name)
@@ -103,8 +99,12 @@ def load_scenario(path: str | Path) -> Scenario:
     if not path.exists():
         raise ScenarioError(str(path), ["file does not exist"])
     try:
-        raw = yaml.safe_load(path.read_text())
-    except yaml.YAMLError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(str(path), [f"cannot read the file: {exc}"]) from exc
+    try:
+        raw = yaml.safe_load(text)
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: e.g. a date such as 2020-02-30
         raise ScenarioError(str(path), [f"YAML parse error: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ScenarioError(str(path), ["top level must be a mapping"])
@@ -123,7 +123,7 @@ def load_scenario(path: str | Path) -> Scenario:
     max_rounds = raw.get("max_rounds", 100)
     if not _is_int(max_rounds) or max_rounds < 0:
         violations.append(f"max_rounds must be a non-negative integer, got {max_rounds!r}")
-    divergence_window = raw.get("divergence_window", 3)
+    divergence_window = raw.get("divergence_window", DEFAULT_DIVERGENCE_WINDOW)
     if not _is_int(divergence_window) or not (divergence_window == 0 or divergence_window >= 2):
         violations.append(
             f"divergence_window must be 0 (off) or an integer >= 2, got {divergence_window!r}"
@@ -167,18 +167,18 @@ def load_scenario(path: str | Path) -> Scenario:
             violations.append("one-to-many mode requires a coordination section")
         else:
             buyer_id = coord.get("buyer")
-            supplier_ids = tuple(coord.get("suppliers", ()))
             if buyer_id not in ids:
                 violations.append(f"coordination buyer {buyer_id!r} is not a declared agent")
+            suppliers = coord.get("suppliers", [])
+            supplier_ids = tuple(suppliers) if isinstance(suppliers, list) else ()
             missing = [s for s in supplier_ids if s not in ids]
-            if missing or not supplier_ids:
+            if not isinstance(suppliers, list):
+                violations.append(f"coordination suppliers must be a list, got {suppliers!r}")
+            elif missing or not supplier_ids:
                 violations.append(f"coordination suppliers invalid or empty (unknown: {missing})")
             try:
                 plan = CoordinationPlan(
-                    strategy=coord.get("strategy", ""),
-                    theta=(
-                        float(coord["theta"]) if coord.get("theta") is not None else None
-                    ),
+                    strategy=coord.get("strategy", ""), theta=coord.get("theta")
                 )
             except PlanError as exc:
                 violations.append(str(exc))
@@ -229,7 +229,7 @@ def _load_agent(entry, alphabet, violations) -> AgentSpec | None:
         violations.append(f"agent {agent_id!r}: deadline must be an integer, got {deadline!r}")
         deadline = 1  # stand-in so the rest of the profile is still checked
     reservation = entry.get("reservation_utility")
-    if reservation is not None and not _is_number(reservation):
+    if reservation is not None and not is_number(reservation):
         violations.append(
             f"agent {agent_id!r}: reservation_utility must be a number, got {reservation!r}"
         )
@@ -254,7 +254,7 @@ def _load_agent(entry, alphabet, violations) -> AgentSpec | None:
                 )
                 continue
             rating = issue_ratings[label]
-            if not _is_number(rating):
+            if not is_number(rating):
                 violations.append(
                     f"agent {agent_id!r}: rating for option {label!r} of issue {name!r}"
                     f" must be a number, got {rating!r}"
@@ -262,7 +262,7 @@ def _load_agent(entry, alphabet, violations) -> AgentSpec | None:
                 continue
             options.append(IssueOption(label=label, rating=float(rating)))
         issues.append(Issue(name=name, options=tuple(options)))
-    bad_weights = {k: v for k, v in weights.items() if not _is_number(v)}
+    bad_weights = {k: v for k, v in weights.items() if not is_number(v)}
     for name, value in bad_weights.items():
         violations.append(
             f"agent {agent_id!r}: weight of issue {name!r} must be a number, got {value!r}"
@@ -296,7 +296,6 @@ def _load_agent(entry, alphabet, violations) -> AgentSpec | None:
         return None
     return AgentSpec(
         id=agent_id,
-        role=str(entry.get("role", "")),
         profile=profile,
         tactic=tactic,
         predictor=predictor,
@@ -349,7 +348,6 @@ def _run_bilateral(scenario: Scenario, index: int) -> SessionRecord:
         b.tactic,
         predictor_config={a.id: a.predictor, b.id: b.predictor},
         max_rounds=scenario.max_rounds,
-        seed=scenario.seed + index,
         opener=scenario.opener,
         divergence_window=scenario.divergence_window,
     )
@@ -367,9 +365,7 @@ def _run_one_to_many(scenario: Scenario, index: int) -> SessionRecord:
         [(s.profile, s.tactic) for s in suppliers],
         scenario.plan,
         max_rounds=scenario.max_rounds,
-        seed=scenario.seed + index,
         predictor_config={spec.id: spec.predictor for spec in scenario.agents},
-        opener=scenario.opener,
         divergence_window=scenario.divergence_window,
     )
     if choice is not None:
@@ -432,7 +428,7 @@ def _aggregate(scenario: Scenario, records: Sequence[SessionRecord]) -> SummaryS
 
 
 def compare_prediction(scenario: Scenario, n_sessions: int) -> dict:
-    """Paired runs over the same seeds: prediction disabled vs as configured."""
+    """Paired runs of the same sessions: prediction disabled vs as configured."""
     off = run_batch(scenario.with_prediction(False), n_sessions)
     on = run_batch(scenario, n_sessions)
     deltas = {

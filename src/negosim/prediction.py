@@ -96,7 +96,6 @@ class RegressionFit:
     a: float
     b: float
     sse: float
-    n_points: int
     c: float = 0.0
 
 
@@ -148,7 +147,7 @@ def _fit(family: str, cols: _Columns) -> RegressionFit:
     if not all(map(math.isfinite, (a, b, c))):
         raise DegenerateDataError(f"{family} fit produced non-finite parameters")
     sse = float(((pred - u) ** 2).sum())
-    return RegressionFit(family=family, a=a, b=b, c=c, sse=sse, n_points=len(t))
+    return RegressionFit(family=family, a=a, b=b, c=c, sse=sse)
 
 
 def select_model(series: ObservationSeries) -> RegressionFit:
@@ -429,9 +428,8 @@ class PredictorState:
     new observation once, as it is recorded.
     """
 
-    def __init__(self, config: PredictorConfig, agent_id: str):
+    def __init__(self, config: PredictorConfig):
         self.config = config
-        self.agent_id = agent_id
         self.observations: list[tuple[float, float]] = []
         self.fit: RegressionFit | None = None
         self.valid = True  # False for good once an observation breaks the series rules

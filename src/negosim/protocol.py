@@ -23,6 +23,7 @@ from .domain import (
     PreferenceProfile,
     total_profit,
 )
+from .prediction import PredictorState, advise
 from .tactics import OfferTable, Tactic
 
 DEFAULT_DIVERGENCE_WINDOW = 3
@@ -33,11 +34,7 @@ class SetupError(NegotiationError):
 
 
 class ProtocolViolationError(NegotiationError):
-    """A malformed offer entered the session; treated as withdrawal by the violator."""
-
-    def __init__(self, violator: str, message: str):
-        super().__init__(message)
-        self.violator = violator
+    """:func:`respond` was given an offer that does not fit the profile's issues."""
 
 
 @dataclass(frozen=True)
@@ -151,8 +148,7 @@ def respond(
         incoming_value = total_profit(profile, incoming)
         planned_value = total_profit(profile, planned_counter)
     except InvalidOfferError as exc:
-        violator = incoming.proposer or "opponent"
-        raise ProtocolViolationError(violator, f"malformed offer: {exc}") from exc
+        raise ProtocolViolationError(f"malformed offer: {exc}") from exc
     if incoming_value > planned_value:
         return Accept(offer=incoming)
     return Offer(counter=planned_counter)
@@ -205,14 +201,13 @@ def run_session(
     tactic_b: Tactic,
     predictor_config=None,
     max_rounds: int = 100,
-    seed: int = 0,
     opener: str | None = None,
     divergence_window: int = DEFAULT_DIVERGENCE_WINDOW,
 ) -> tuple[SessionOutcome, SessionTrace]:
     """Run one bilateral session to completion.
 
-    Nothing draws from ``seed`` yet: the profiles, tactics and settings fix
-    the session, so equal inputs give identical sessions for every seed.
+    Nothing in a session is random: the profiles, tactics and settings fix
+    it, so equal inputs give identical sessions.
 
     ``predictor_config`` (a :class:`negosim.prediction.PredictorConfig` or a
     mapping ``{agent_id: config}``) arms per-agent behavior prediction.
@@ -220,8 +215,6 @@ def run_session(
     divergence termination, predictor advice, then accept-or-counter.
     ``divergence_window`` is 0 (the divergence rule is off) or at least 2.
     """
-    from .prediction import PredictorState, advise  # runtime import, avoids a cycle
-
     _check_alphabets(profile_a, profile_b)
     profiles = {profile_a.agent_id: profile_a, profile_b.agent_id: profile_b}
     tactics = {profile_a.agent_id: tactic_a, profile_b.agent_id: tactic_b}
@@ -243,7 +236,7 @@ def run_session(
     for agent_id in profiles:
         config = configs.get(agent_id)
         enabled = config is not None and config.enabled
-        predictors[agent_id] = PredictorState(config, agent_id) if enabled else None
+        predictors[agent_id] = PredictorState(config) if enabled else None
 
     order = list(profiles)
     if order[0] != opener:

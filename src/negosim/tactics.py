@@ -21,6 +21,7 @@ from .domain import (
     NegotiationError,
     OfferVector,
     PreferenceProfile,
+    is_number,
     reservation_utility,
     total_profit,  # not called here; perfbench/test_perfbench.py asserts this binding exists
 )
@@ -183,8 +184,7 @@ class Tactic:
     def propose(
         self, profile: PreferenceProfile, trace: "SessionTrace", round: int
     ) -> OfferVector:
-        offer = trace.offer_table(profile).offer(self.target(profile, trace, round))
-        return offer.stamped(round, profile.agent_id)
+        return trace.offer_table(profile).offer(self.target(profile, trace, round))
 
 
 @dataclass(frozen=True)
@@ -247,7 +247,7 @@ class MixedTactic(Tactic):
 
 def _number(raw: Mapping, key: str, default: float | None = None) -> float:
     value = raw.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not is_number(value):
         raise ParameterError(f"{key} must be a number, got {value!r}")
     return float(value)
 
@@ -257,8 +257,15 @@ def tactic_from_dict(raw) -> Tactic:
 
     Every malformed or out-of-range field raises :class:`ParameterError`.
     """
+    return _tactic_from_dict(raw, ())
+
+
+def _tactic_from_dict(raw, outer: tuple) -> Tactic:
+    """:func:`tactic_from_dict` for a tactic nested in the mixtures ``outer``."""
     if not isinstance(raw, Mapping):
         raise ParameterError(f"a tactic must be a mapping, got {raw!r}")
+    if any(raw is mixture for mixture in outer):  # a YAML alias can make a mixture hold itself
+        raise ParameterError("a mixture cannot contain itself")
     family = raw.get("family")
     if family == "time-dependent":
         return TimeDependentTactic(k=_number(raw, "k", 0.0), beta=_number(raw, "beta", 1.0))
@@ -272,7 +279,7 @@ def tactic_from_dict(raw) -> Tactic:
             raise ParameterError(f"mixture must be a list, got {parts!r}")
         components = []
         for part in parts:
-            tactic = tactic_from_dict(part)  # first, so a part that is not a mapping is named
+            tactic = _tactic_from_dict(part, (*outer, raw))  # first, so a non-mapping is named
             components.append((_number(part, "weight"), tactic))
         return MixedTactic(components=tuple(components))
     raise ParameterError(f"unknown tactic family {family!r}")

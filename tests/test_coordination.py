@@ -165,13 +165,11 @@ class TestRunOneToMany:
             suppliers,
             market_scenario.plan,
             max_rounds=market_scenario.max_rounds,
-            seed=market_scenario.seed,
-            opener=market_scenario.opener,
         )
         assert isinstance(choice, ContractChoice)
         assert len(results) == len(suppliers) == len(traces)
 
-    def test_thread_seeds_replay_in_isolation(self, market_scenario):
+    def test_threads_replay_in_isolation(self, market_scenario):
         buyer = market_scenario.agent(market_scenario.buyer_id)
         suppliers = [
             (spec.profile, spec.tactic)
@@ -181,7 +179,6 @@ class TestRunOneToMany:
         _, results, traces = run_one_to_many(
             buyer.profile, buyer.tactic, suppliers,
             market_scenario.plan, max_rounds=market_scenario.max_rounds,
-            seed=market_scenario.seed, opener=market_scenario.opener,
         )
         from negosim.protocol import run_session
 
@@ -189,7 +186,6 @@ class TestRunOneToMany:
             outcome, _ = run_session(
                 buyer.profile, profile, buyer.tactic, tactic,
                 max_rounds=market_scenario.max_rounds,
-                seed=market_scenario.seed + thread_id,
                 opener=market_scenario.opener,
             )
             assert outcome == results[thread_id].outcome
@@ -199,7 +195,7 @@ class TestRunOneToMany:
         # supplier deadlines differ, so threads finish at different rounds
         choice, results, traces = run_one_to_many(
             buyer, TimeDependentTactic(), self.suppliers(),
-            CoordinationPlan("desperate"), max_rounds=60, seed=0,
+            CoordinationPlan("desperate"), max_rounds=60,
         )
         assert choice is not None
         for res, trace in zip(results, traces):
@@ -213,7 +209,7 @@ class TestRunOneToMany:
         buyer = ladder_profile("buyer", deadline=20)
         _, results, _ = run_one_to_many(
             buyer, TimeDependentTactic(), self.suppliers(),
-            CoordinationPlan("patient"), max_rounds=60, seed=0,
+            CoordinationPlan("patient"), max_rounds=60,
         )
         assert all(res.cancelled_at is None for res in results)
 

@@ -47,6 +47,20 @@ MINIMAL = {
 }
 
 
+MINIMAL_MARKET = {
+    **MINIMAL,
+    "mode": "one-to-many",
+    "coordination": {"buyer": "b", "suppliers": ["a"], "strategy": "adapted", "theta": 60},
+}
+
+
+def self_mixture():
+    """A mixed tactic listed among its own parts, as a YAML alias can write it."""
+    tactic = {"family": "mixed"}
+    tactic["mixture"] = [tactic]
+    return tactic
+
+
 def write_scenario(tmp_path, raw, name="test.scenario"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(raw))
@@ -146,6 +160,17 @@ class TestLoadScenario:
             ),
             (("agents", 0, "reservation_utility"), math.nan, "reservation_utility nan"),
             (("agents", 0, "reservation_utility"), 150, "reservation_utility 150"),
+            (("agents", 0, "tactic"), self_mixture(), "a mixture cannot contain itself"),
+            (("coordination", "theta"), "abc", "theta must be"),
+            (("coordination", "theta"), [1], "theta must be"),
+            (("coordination", "theta"), True, "theta must be"),
+            (("coordination", "theta"), "75", "theta must be"),
+            (("coordination", "theta"), math.nan, "theta must be"),
+            (("coordination", "theta"), -1, "theta must be"),
+            (("coordination", "suppliers"), 5, "suppliers must be a list"),
+            (("coordination", "theta"), 10**400, "theta must be"),
+            (("agents", 0, "ratings", "price", "high"), 10**400, "rating for option 'high'"),
+            (("agents", 0, "tactic"), {"family": "time-dependent", "beta": 10**400}, "beta must be"),
         ],
         ids=[
             "seed-bool",
@@ -173,10 +198,21 @@ class TestLoadScenario:
             "ratings-unknown-keys-of-two-types",
             "reservation_utility-nan",
             "reservation_utility-above-100",
+            "tactic-self-mixture",
+            "theta-str",
+            "theta-list",
+            "theta-bool",
+            "theta-numeric-str",
+            "theta-nan",
+            "theta-negative",
+            "suppliers-int",
+            "theta-int-beyond-float",
+            "rating-int-beyond-float",
+            "beta-int-beyond-float",
         ],
     )
     def test_bad_field_is_a_listed_violation(self, tmp_path, path, value, named):
-        raw = copy.deepcopy(MINIMAL)
+        raw = copy.deepcopy(MINIMAL_MARKET if path[0] == "coordination" else MINIMAL)
         raw["agents"][1]["weights"] = {"price": 50}  # a second, unrelated violation
         target = raw
         for key in path[:-1]:
@@ -380,6 +416,45 @@ class TestCli:
         result = runner.invoke(main, ["run", "--scenario", "/no/such/file.scenario"])
         assert result.exit_code != 0
         assert "does not exist" in result.output
+
+    @pytest.mark.parametrize(
+        "content, named",
+        [
+            (None, "cannot read the file"),  # the path is a directory
+            ("seed: 7\nmode: bilateral  # caf\u00e9\n".encode("latin-1"), "cannot read the file"),
+            (b"seed: 2020-02-30\n", "YAML parse error"),  # no such date
+        ],
+        ids=["directory", "not-utf8", "bad-date"],
+    )
+    def test_unloadable_scenario_is_a_listed_violation(self, tmp_path, content, named):
+        path = tmp_path
+        if content is not None:
+            path = tmp_path / "test.scenario"
+            path.write_bytes(content)
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(path)
+        assert any(named in v for v in exc.value.violations)
+        result = CliRunner().invoke(main, ["run", "--scenario", str(path)])
+        assert isinstance(result.exception, SystemExit)  # a ClickException, not a crash
+        assert result.exit_code != 0
+        assert "Traceback" not in result.output
+
+    def test_batch_out_on_an_existing_file_is_a_diagnostic(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        result = CliRunner().invoke(
+            main,
+            [
+                "batch",
+                "--scenario", str(bundled_scenario("aircraft.scenario")),
+                "-n", "1",
+                "--out", str(taken),
+            ],
+        )
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code != 0
+        assert "File exists" in result.output
+        assert "Traceback" not in result.output
 
     def test_invalid_scenario_lists_violations(self, tmp_path):
         raw = copy.deepcopy(MINIMAL)

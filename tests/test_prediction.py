@@ -244,7 +244,7 @@ def scan_crossing(fit, reservation, deadline, steps=2**16):
     deadline=st.floats(0.5, 2.0),
 )
 def test_quadratic_crossing_matches_dense_scan(a, b, gap, reservation, deadline):
-    fit = RegressionFit("quadratic", a=a, b=b, c=reservation - gap, sse=0.0, n_points=3)
+    fit = RegressionFit("quadratic", a=a, b=b, c=reservation - gap, sse=0.0)
     # skip ill-conditioned cases (a tangency, or a root at the deadline), where
     # a 1e-6 nudge of the reservation flips the answer or moves t* far
     low, high = (scan_crossing(fit, reservation + d, deadline) for d in (-1e-6, 1e-6))
@@ -366,7 +366,7 @@ def test_bad_predictor_config_rejected_at_construction(fields):
 
 class TestAdvise:
     def state(self, warmup=5):
-        return PredictorState(PredictorConfig(enabled=True, warmup=warmup), "agent")
+        return PredictorState(PredictorConfig(enabled=True, warmup=warmup))
 
     def test_warmup_gives_no_advice(self):
         profile = ladder_profile(deadline=10)
@@ -430,7 +430,7 @@ def test_incremental_state_matches_the_rebuilt_series_randomized():
         reservation = rng.choice((None, rng.uniform(0.0, 100.0)))
         profile = ladder_profile(deadline=rng.randint(5, 60), reservation=reservation)
         warmup = rng.randint(0, 6)
-        state = PredictorState(PredictorConfig(enabled=True, warmup=warmup), profile.agent_id)
+        state = PredictorState(PredictorConfig(enabled=True, warmup=warmup))
         start, slope = rng.uniform(0.0, 100.0), rng.uniform(-1.0, 1.5)
         on_ladder = rng.random() < 0.3  # multiples of 10: ties, zeros and flat runs
         faulty = rng.random() < 0.3

@@ -28,8 +28,8 @@ from negosim.tactics import (
 from conftest import ladder_profile, random_offer, random_profile
 
 
-def ladder_offer(utility, proposer=None, round=None):
-    return OfferVector({"value": f"p{int(utility) // 10}"}, round=round, proposer=proposer)
+def ladder_offer(utility):
+    return OfferVector({"value": f"p{int(utility) // 10}"})
 
 
 def incoming_trace(profile, utilities):
@@ -70,7 +70,7 @@ class TestRespond:
 
     def test_accept_embeds_incoming_unchanged(self):
         profile = ladder_profile(deadline=10)
-        incoming = ladder_offer(90, proposer="opponent", round=4)
+        incoming = ladder_offer(90)
         response = respond(profile, NegotiationState(round=5), incoming, ladder_offer(50))
         assert response.offer is incoming
 
@@ -105,7 +105,7 @@ class TestRunSession:
         a, b = aircraft_scenario.agents
         outcome, trace = run_session(
             a.profile, b.profile, a.tactic, b.tactic,
-            max_rounds=60, seed=1, opener=b.id,
+            max_rounds=60, opener=b.id,
         )
         assert outcome.kind == "agreement"
         assert outcome.round <= min(a.profile.deadline, b.profile.deadline)
@@ -114,7 +114,7 @@ class TestRunSession:
         x, y = disjoint_scenario.agents
         outcome, _ = run_session(
             x.profile, y.profile, x.tactic, y.tactic,
-            max_rounds=60, seed=1, opener=x.id,
+            max_rounds=60, opener=x.id,
         )
         assert outcome.kind in ("withdrawal", "deadline-expiry")
 
@@ -122,7 +122,7 @@ class TestRunSession:
         a = ladder_profile("a")
         b = ladder_profile("b")
         outcome, trace = run_session(
-            a, b, TimeDependentTactic(), TimeDependentTactic(), max_rounds=0, seed=0
+            a, b, TimeDependentTactic(), TimeDependentTactic(), max_rounds=0
         )
         assert outcome.kind == "deadline-expiry"
         assert outcome.round == 0
@@ -132,20 +132,20 @@ class TestRunSession:
         a, b = aircraft_scenario.agents
         _, trace = run_session(
             a.profile, b.profile, a.tactic, b.tactic,
-            max_rounds=60, seed=0, opener=b.id,
+            max_rounds=60, opener=b.id,
         )
         rounds = [row.round for row in trace.rows]
         assert rounds == list(range(len(trace)))
         proposers = [row.proposer for row in trace.rows]
         assert all(p1 != p2 for p1, p2 in zip(proposers, proposers[1:]))
 
-    def test_identical_seeds_identical_traces(self, aircraft_scenario):
+    def test_identical_inputs_identical_traces(self, aircraft_scenario):
         a, b = aircraft_scenario.agents
 
         def go():
             return run_session(
                 a.profile, b.profile, a.tactic, b.tactic,
-                max_rounds=60, seed=5, opener=b.id,
+                max_rounds=60, opener=b.id,
             )
 
         (out1, tr1), (out2, tr2) = go(), go()
@@ -156,7 +156,7 @@ class TestRunSession:
         a, b = aircraft_scenario.agents
         outcome, trace = run_session(
             a.profile, b.profile, a.tactic, b.tactic,
-            max_rounds=60, seed=0, opener=b.id,
+            max_rounds=60, opener=b.id,
         )
         assert outcome.kind == "agreement"
         accepter = trace.rows[-1].proposer
@@ -177,14 +177,14 @@ class TestRunSession:
     def test_malformed_offer_is_withdrawal_by_violator(self):
         class BrokenTactic(Tactic):
             def propose(self, profile, trace, round):
-                return OfferVector({"value": "no-such-option"}, round, profile.agent_id)
+                return OfferVector({"value": "no-such-option"})
 
             def target(self, profile, trace, round):
                 return 100.0
 
         a = ladder_profile("a")
         b = ladder_profile("b")
-        outcome, _ = run_session(a, b, BrokenTactic(), TimeDependentTactic(), seed=0)
+        outcome, _ = run_session(a, b, BrokenTactic(), TimeDependentTactic())
         assert outcome.kind == "withdrawal"
         assert outcome.party == "a"
 
