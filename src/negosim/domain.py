@@ -6,7 +6,7 @@ import itertools
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 WEIGHT_TOTAL = 100.0
@@ -45,31 +45,38 @@ class IssueOption:
 
 @dataclass(frozen=True)
 class Issue:
-    """A negotiable issue with a fixed, ordered menu of rated options."""
+    """A negotiable issue with a fixed, ordered menu of rated options.
+
+    The lookups every utility evaluation needs are computed once, at
+    construction; they take no part in equality, hashing or the repr.
+    """
 
     name: str
     options: tuple[IssueOption, ...]
+    max_rating: float = field(init=False, repr=False, compare=False)
+    zero_rated_labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _by_label: dict[str, IssueOption] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        options = self.options
+        set_field = object.__setattr__  # the dataclass is frozen
+        set_field(self, "max_rating", max((opt.rating for opt in options), default=0.0))
+        set_field(self, "zero_rated_labels", tuple(o.label for o in options if o.rating == 0))
+        # the first of duplicate labels wins, as in a scan of the menu
+        set_field(self, "_by_label", {o.label: o for o in reversed(options)})
 
     def option(self, label: str) -> IssueOption:
-        for opt in self.options:
-            if opt.label == label:
-                return opt
-        raise InvalidOfferError(f"issue {self.name!r} has no option {label!r}")
+        try:
+            return self._by_label[label]
+        except KeyError:
+            raise InvalidOfferError(f"issue {self.name!r} has no option {label!r}") from None
 
     def labels(self) -> tuple[str, ...]:
         return tuple(opt.label for opt in self.options)
 
     @property
-    def max_rating(self) -> float:
-        return max(opt.rating for opt in self.options)
-
-    @property
     def max_rated_label(self) -> str:
         return max(self.options, key=lambda opt: opt.rating).label
-
-    @property
-    def zero_rated_labels(self) -> tuple[str, ...]:
-        return tuple(opt.label for opt in self.options if opt.rating == 0)
 
 
 @dataclass(frozen=True)

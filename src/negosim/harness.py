@@ -94,6 +94,10 @@ def bundled_scenario(name: str) -> Path:
     return Path(resources.files("negosim") / "scenarios" / name)
 
 
+# PyYAML's libyaml-based safe loader builds the same objects several times faster
+_SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     if not path.exists():
@@ -103,7 +107,7 @@ def load_scenario(path: str | Path) -> Scenario:
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(str(path), [f"cannot read the file: {exc}"]) from exc
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_SAFE_LOADER)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: e.g. a date such as 2020-02-30
         raise ScenarioError(str(path), [f"YAML parse error: {exc}"]) from exc
     if not isinstance(raw, dict):

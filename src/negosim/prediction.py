@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .domain import (
     DiscretizationScheme,
@@ -26,8 +27,7 @@ from .domain import (
 if TYPE_CHECKING:
     from .protocol import SessionTrace
 
-FAMILIES = ("linear", "power", "quadratic")
-_SIMPLICITY = {"linear": 0, "power": 1, "quadratic": 2}
+FAMILIES = ("linear", "power", "quadratic")  # simplest first
 _MIN_POINTS = {"linear": 2, "power": 2, "quadratic": 3}
 SSE_TIE_EPS = 1e-9
 
@@ -57,14 +57,6 @@ class ObservationSeries:
     def __post_init__(self) -> None:
         _check_points(self.points)
 
-    @property
-    def t(self) -> np.ndarray:
-        return np.array([t for t, _ in self.points], dtype=float)
-
-    @property
-    def u(self) -> np.ndarray:
-        return np.array([u for _, u in self.points], dtype=float)
-
     def __len__(self) -> int:
         return len(self.points)
 
@@ -80,13 +72,6 @@ def _check_points(points, last_t: float | None = None) -> None:
         last_t = t
 
 
-class _RecordedSeries(ObservationSeries):
-    """A series whose points were checked one at a time, as they were recorded."""
-
-    def __post_init__(self) -> None:
-        pass
-
-
 @dataclass(frozen=True)
 class RegressionFit:
     """A fitted curve.  linear: u = b*t + a;  power: u = a*t^b;
@@ -99,11 +84,76 @@ class RegressionFit:
     c: float = 0.0
 
 
+# rows of a _Columns buffer; each family's design matrix is a run of adjacent rows
+_ONE, _T, _T2, _ONE_LOG, _LOG_T, _U, _LOG_U = range(7)
+_LINEAR, _QUADRATIC, _POWER = slice(_ONE, _T2), slice(_ONE, _ONE_LOG), slice(_ONE_LOG, _U)
+_EPS = np.finfo(np.float64).eps
+
+
+class _Columns:
+    """The arrays every family's fit reads, grown by doubling as points arrive.
+
+    Each point adds ``[1, t, t^2]`` and ``u``, and, while every point so far
+    has t > 0 and u > 0 (the power family's domain), ``[1, log t]`` and
+    ``log u``. Each quantity is one contiguous buffer row: numpy may take
+    another code path for ``**`` and ``log`` on strided input, and the
+    fits must see the floats a one-shot build of the same points gives.
+    The attributes are views of the first ``n`` columns, renewed by
+    :meth:`extend`; each design matrix is a transposed run of rows.
+    """
+
+    def __init__(self, points=()):
+        self.n = 0
+        self.positive = True
+        self._buf = self._allocate(16)
+        self.extend(points)
+
+    @staticmethod
+    def _allocate(capacity: int) -> np.ndarray:
+        buf = np.empty((7, capacity))
+        buf[[_ONE, _ONE_LOG]] = 1.0
+        return buf
+
+    def extend(self, points) -> None:
+        lo, hi = self.n, self.n + len(points)
+        if hi > self._buf.shape[1]:
+            capacity = self._buf.shape[1]
+            while capacity < hi:
+                capacity *= 2
+            grown = self._allocate(capacity)
+            grown[:, :lo] = self._buf[:, :lo]
+            self._buf = grown
+        buf = self._buf
+        for i, (t, u) in enumerate(points, lo):
+            buf[_T, i], buf[_T2, i], buf[_U, i] = t, t * t, u  # t * t: numpy's t**2, bit for bit
+            self.positive = self.positive and not (t <= 0 or u <= 0)
+        if self.positive:
+            np.log(buf[_T, lo:hi], out=buf[_LOG_T, lo:hi])
+            np.log(buf[_U, lo:hi], out=buf[_LOG_U, lo:hi])
+        self.n = hi
+        self.t, self.t2, self.u = buf[_T, :hi], buf[_T2, :hi], buf[_U, :hi]
+        self.log_u = buf[_LOG_U, :hi]
+        self.linear, self.quadratic = buf[_LINEAR, :hi].T, buf[_QUADRATIC, :hi].T
+        self.power = buf[_POWER, :hi].T
+
+    def __len__(self) -> int:
+        return self.n
+
+
 def _lstsq(design: np.ndarray, target: np.ndarray) -> np.ndarray:
-    coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-    if rank < design.shape[1]:
+    """The coefficients ``np.linalg.lstsq(design, target, rcond=None)`` returns.
+
+    This is the gufunc (LAPACK ``gelsd``) that ``lstsq`` calls, with the same
+    arguments, minus the wrapper's checks and copies. The caller sets
+    ``np.errstate``: a solve that fails returns NaN coefficients.
+    """
+    rows, cols = design.shape
+    coef, _, rank, _ = _umath_linalg.lstsq(
+        design, target[:, None], _EPS * max(rows, cols), signature="ddd->ddid"
+    )
+    if rank < cols:
         raise DegenerateDataError("design matrix is singular (degenerate observation times)")
-    return coef
+    return coef[:, 0]
 
 
 def fit_regression(series: ObservationSeries, family: str) -> RegressionFit:
@@ -115,63 +165,49 @@ def fit_regression(series: ObservationSeries, family: str) -> RegressionFit:
         raise DegenerateDataError(
             f"{family} fit needs >= {_MIN_POINTS[family]} points, got {n}"
         )
-    return _fit(family, _Columns(series))
-
-
-class _Columns:
-    """The arrays every family's fit uses, built once per series."""
-
-    def __init__(self, series: ObservationSeries):
-        self.t, self.u = series.t, series.u
-        self.ones = np.ones_like(self.t)
-        self.t2 = self.t**2
-        self.quadratic = np.column_stack([self.ones, self.t, self.t2])  # linear: first 2 columns
-
-
-def _fit(family: str, cols: _Columns) -> RegressionFit:
-    t, u = cols.t, cols.u
-    if family == "linear":
-        coef = _lstsq(cols.quadratic[:, :2], u)
-        a, b, c = float(coef[0]), float(coef[1]), 0.0
-        pred = b * t + a
-    elif family == "quadratic":
-        coef = _lstsq(cols.quadratic, u)
-        c, b, a = float(coef[0]), float(coef[1]), float(coef[2])
-        pred = a * cols.t2 + b * t + c
-    else:  # power, via log-log linearization
-        if (t <= 0).any() or (u <= 0).any():
-            raise RegressionDomainError("power fit needs all t > 0 and all u > 0")
-        coef = _lstsq(np.column_stack([cols.ones, np.log(t)]), np.log(u))
-        a, b, c = float(math.exp(coef[0])), float(coef[1]), 0.0
-        pred = a * t**b
-    if not all(map(math.isfinite, (a, b, c))):
-        raise DegenerateDataError(f"{family} fit produced non-finite parameters")
-    sse = float(((pred - u) ** 2).sum())
+    with np.errstate(all="ignore"):
+        a, b, c, sse = _fit(family, _Columns(series.points))
     return RegressionFit(family=family, a=a, b=b, c=c, sse=sse)
 
 
-def select_model(series: ObservationSeries) -> RegressionFit:
+def _fit(family: str, cols: _Columns) -> tuple[float, float, float, float]:
+    """``(a, b, c, sse)`` of one family's fit, in :class:`RegressionFit`'s terms."""
+    t, u = cols.t, cols.u
+    if family == "linear":
+        a, b = _lstsq(cols.linear, u).tolist()
+        c = 0.0
+        pred = b * t + a
+    elif family == "quadratic":
+        c, b, a = _lstsq(cols.quadratic, u).tolist()
+        pred = a * cols.t2 + b * t + c
+    else:  # power, via log-log linearization
+        if not cols.positive:
+            raise RegressionDomainError("power fit needs all t > 0 and all u > 0")
+        log_a, b = _lstsq(cols.power, cols.log_u).tolist()
+        a, c = math.exp(log_a), 0.0
+        pred = a * t**b
+    if not all(map(math.isfinite, (a, b, c))):
+        raise DegenerateDataError(f"{family} fit produced non-finite parameters")
+    # np.add.reduce is ndarray.sum's pairwise sum, without the method's wrapper
+    return a, b, c, float(np.add.reduce((pred - u) ** 2))
+
+
+def select_model(series: ObservationSeries | _Columns) -> RegressionFit:
     """Fit every admissible family and keep the lowest SSE.
 
-    Power is only admissible on strictly positive data. SSE ties (within
-    1e-9) go to the simpler family: linear < power < quadratic.
+    Takes a series, or the columns a :class:`PredictorState` grew. Power is
+    only admissible on strictly positive data. SSE ties (within 1e-9) go to
+    the simpler family: linear < power < quadratic.
     """
     if len(series) < _MIN_POINTS["quadratic"]:
         raise DegenerateDataError("model selection needs at least 3 points")
-    cols = _Columns(series)
-    fits = []
-    for family in FAMILIES:
-        try:
-            fits.append(_fit(family, cols))
-        except RegressionDomainError:
-            continue
-    if not fits:
-        raise DegenerateDataError("no admissible regression family")
-    best_sse = min(fit.sse for fit in fits)
-    return min(
-        (fit for fit in fits if fit.sse <= best_sse + SSE_TIE_EPS),
-        key=lambda fit: _SIMPLICITY[fit.family],
-    )
+    cols = series if isinstance(series, _Columns) else _Columns(series.points)
+    with np.errstate(all="ignore"):  # family -> (a, b, c, sse), simplest family first
+        fits = {f: _fit(f, cols) for f in FAMILIES if f != "power" or cols.positive}
+    best_sse = min(sse for *_, sse in fits.values())
+    family = next(f for f, (*_, sse) in fits.items() if sse <= best_sse + SSE_TIE_EPS)
+    a, b, c, sse = fits[family]
+    return RegressionFit(family=family, a=a, b=b, c=c, sse=sse)
 
 
 def evaluate_fit(fit: RegressionFit, t: float) -> float:
@@ -424,21 +460,27 @@ class PredictorState:
     """Per-agent, per-session prediction state: warm-up observation then advice.
 
     The state follows one session's trace: each call of :func:`advise`
-    records only the rows added since the previous call, and checks each
-    new observation once, as it is recorded.
+    records only the rows added since the previous call, checks each new
+    observation once and appends it once to the fit columns.
     """
 
     def __init__(self, config: PredictorConfig):
         self.config = config
-        self.observations: list[tuple[float, float]] = []
+        self.columns = _Columns()
         self.fit: RegressionFit | None = None
         self.valid = True  # False for good once an observation breaks the series rules
         self.reservation: float | None = None  # the agent's, looked up on first use
         self._rows_seen = 0
+        self._last_t: float | None = None
 
     @property
     def mode(self) -> str:
-        return "warm-up" if len(self.observations) < self.config.warmup else "active"
+        return "warm-up" if len(self.columns) < self.config.warmup else "active"
+
+    @property
+    def observations(self) -> list[tuple[float, float]]:
+        """The recorded (time, utility) points, read back from the columns."""
+        return list(zip(self.columns.t.tolist(), self.columns.u.tolist()))
 
     def record(self, trace: "SessionTrace", profile: PreferenceProfile) -> None:
         """Append the opponent's offers that joined ``trace`` since the last call."""
@@ -448,12 +490,15 @@ class PredictorState:
             if row.proposer != profile.agent_id and row.action == "offer"
         ]
         self._rows_seen = len(trace)
+        if not new:
+            return
         if self.valid:
             try:
-                _check_points(new, self.observations[-1][0] if self.observations else None)
+                _check_points(new, self._last_t)
             except DataError:
                 self.valid = False
-        self.observations += new
+        self._last_t = new[-1][0]
+        self.columns.extend(new)
 
 
 def advise(state: PredictorState, trace: "SessionTrace", profile: PreferenceProfile) -> Advice:
@@ -471,7 +516,7 @@ def advise(state: PredictorState, trace: "SessionTrace", profile: PreferenceProf
     if not state.valid:
         return Advice(kind="continue")
     try:
-        state.fit = select_model(_RecordedSeries(points=tuple(state.observations)))
+        state.fit = select_model(state.columns)
     except DegenerateDataError:
         return Advice(kind="continue")
     if state.reservation is None:

@@ -1,6 +1,11 @@
 import random
+import sys
+from pathlib import Path
 
 import pytest
+
+# the repository root, so tests can reuse perfbench's session checks
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from negosim.domain import Issue, IssueOption, make_profile
 from negosim.harness import bundled_scenario, load_scenario

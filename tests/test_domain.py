@@ -266,3 +266,16 @@ def test_enumerate_length_is_product_of_option_counts(aircraft_scenario):
     profile = aircraft_scenario.agents[0].profile
     expected = math.prod(len(issue.options) for issue in profile.issues)
     assert len(enumerate_offers(profile)) == expected
+
+
+def test_issue_lookups_leave_equality_hash_and_repr_alone():
+    options = (IssueOption("z", 0.0), IssueOption("a", 40.0), IssueOption("a", 80.0))
+    issue = Issue("x", options)
+    assert (issue.max_rating, issue.zero_rated_labels) == (80.0, ("z",))
+    assert issue.option("a") is options[1]  # the first of duplicate labels, as a scan finds
+    with pytest.raises(InvalidOfferError):
+        issue.option("b")
+    twin = Issue("x", tuple(IssueOption(o.label, o.rating) for o in options))
+    assert twin == issue and hash(twin) == hash(issue)
+    assert repr(issue) == f"Issue(name='x', options={options!r})"
+    assert dataclasses.replace(issue, name="y").max_rating == 80.0

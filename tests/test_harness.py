@@ -423,8 +423,10 @@ class TestCli:
             (None, "cannot read the file"),  # the path is a directory
             ("seed: 7\nmode: bilateral  # caf\u00e9\n".encode("latin-1"), "cannot read the file"),
             (b"seed: 2020-02-30\n", "YAML parse error"),  # no such date
+            # a lone surrogate cannot be written as UTF-8; as a loaded label it crashed the CSV writer
+            (b'seed: 7\nmode: "\\ud800"\n', "YAML parse error"),
         ],
-        ids=["directory", "not-utf8", "bad-date"],
+        ids=["directory", "not-utf8", "bad-date", "lone-surrogate"],
     )
     def test_unloadable_scenario_is_a_listed_violation(self, tmp_path, content, named):
         path = tmp_path

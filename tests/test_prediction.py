@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,10 @@ from negosim.prediction import (
     PredictorState,
     RegressionDomainError,
     RegressionFit,
+    FAMILIES,
+    _Columns,
+    _fit,
+    _lstsq,
     advise,
     encode_categorical,
     estimate_crossing,
@@ -28,9 +33,11 @@ from negosim.prediction import (
     scale_numeric,
     select_model,
 )
-from negosim.protocol import SessionTrace, TraceRow
+from negosim import protocol
+from negosim.protocol import SessionTrace, TraceRow, run_session
 
-from conftest import ladder_profile
+from conftest import ladder_profile, random_profile
+from test_protocol import random_tactic, rerated
 
 
 def series(*points):
@@ -465,3 +472,116 @@ def test_incremental_state_matches_the_rebuilt_series_randomized():
                 kinds.add(advice.kind)
     assert kinds == {"none", "continue", "terminate-unprofitable", "acceptance-forecast"}
     assert broken_calls > 100
+
+
+def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_lstsq_is_numpys_lstsq_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for n in range(3, 301):
+        t = np.sort(rng.uniform(0.0, rng.choice((1.0, 3.0)), n))
+        u = rng.uniform(0.0, 100.0, n)
+        for width in (2, 3):
+            design = np.column_stack([np.ones(n), t, t**2][:width])
+            expected = np.linalg.lstsq(design, u, rcond=None)[0]
+            assert same_bits(_lstsq(design, u), expected), (n, width)
+            # the grown columns hand over a strided view of one buffer
+            cols = _Columns(list(zip(t.tolist(), u.tolist())))
+            view = cols.linear if width == 2 else cols.quadratic
+            assert same_bits(_lstsq(view, u), expected), (n, width)
+
+
+def test_lstsq_rejects_and_truncates_as_numpy_does():
+    # repeated times (spread 0) are rank deficient; times a hair apart put
+    # the smallest singular value near lstsq's cut-off
+    rng = np.random.default_rng(32)
+    ranks = set()
+    for spread in (0.0, *np.logspace(-16, -6, 400)):
+        n = int(rng.integers(3, 40))
+        t = 0.5 + np.sort(rng.uniform(0.0, spread, n))
+        u = rng.uniform(0.0, 100.0, n)
+        for width in (2, 3):
+            design = np.column_stack([np.ones(n), t, t**2][:width])
+            expected, _, rank, _ = np.linalg.lstsq(design, u, rcond=None)
+            ranks.add((width, rank))
+            if rank < width:
+                with pytest.raises(DegenerateDataError, match="singular"):
+                    _lstsq(design, u)
+            else:
+                assert same_bits(_lstsq(design, u), expected), (spread, n, width)
+    assert {(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)} <= ranks
+
+
+@pytest.mark.parametrize("first_time, zero_utility_at", [(0.0, None), (0.01, None), (0.01, 40)])
+@pytest.mark.parametrize("chunk", [1, 3, 16])
+def test_grown_columns_fit_as_the_one_shot_series(first_time, zero_utility_at, chunk):
+    # t = 0 or u = 0 anywhere makes power inadmissible from then on
+    rng = random.Random(5)
+    points = [(first_time, rng.uniform(1.0, 100.0))]
+    for i in range(1, 71):
+        u = 0.0 if i == zero_utility_at else rng.uniform(1.0, 100.0)
+        points.append((points[-1][0] + rng.uniform(0.001, 0.05), u))
+    grown, sizes = _Columns(), set()
+    for lo in range(0, len(points), chunk):
+        grown.extend(points[lo : lo + chunk])
+        sizes.add(len(grown))
+        if len(grown) >= 3:
+            series = ObservationSeries(points=tuple(points[: len(grown)]))
+            assert select_model(grown) == select_model(series), len(grown)
+            for family in FAMILIES if grown.positive else ("linear", "quadratic"):
+                one_shot = fit_regression(series, family)
+                assert _fit(family, grown) == (one_shot.a, one_shot.b, one_shot.c, one_shot.sse)
+    if chunk == 1:  # every size, so each buffer-growth boundary too
+        assert {16, 17, 32, 33, 64, 65} <= sizes
+    assert grown.positive == (first_time > 0 and zero_utility_at is None)
+
+
+def test_advise_in_sessions_matches_the_one_shot_fit_randomized(monkeypatch):
+    # every live advise() equals a from-scratch fit of the same points; a
+    # replay with one observation corrupted covers series that turn invalid
+    rng = random.Random(8080)
+    calls, invalid_calls, kinds = 0, 0, set()
+    live_advise = protocol.advise
+
+    def checked_advise(state, trace, profile):
+        nonlocal calls
+        previous_fit = state.fit
+        advice = live_advise(state, trace, profile)
+        expected, fit = rebuilt_advice(trace.rows, profile, state.config.warmup, previous_fit)
+        assert advice == expected
+        assert state.fit == fit
+        calls += 1
+        kinds.add(advice.kind)
+        return advice
+
+    monkeypatch.setattr(protocol, "advise", checked_advise)
+    for n in range(200):
+        # longer deadlines than random_profile's give longer series
+        a = replace(random_profile(rng, "a"), deadline=rng.randint(5, 60))
+        b = replace(rerated(rng, a, "b"), deadline=rng.randint(5, 60))
+        warmup = rng.randint(0, 5)
+        _, trace = run_session(
+            a, b, random_tactic(rng), random_tactic(rng),
+            predictor_config=PredictorConfig(enabled=True, warmup=warmup),
+            max_rounds=rng.randint(10, 80), opener=rng.choice("ab"),
+        )
+        if n % 2:
+            continue
+        rows = list(trace.rows)
+        # a observes b's offers; corrupt one of them
+        observed = [i for i, r in enumerate(rows) if r.proposer == "b" and r.action == "offer"]
+        if not observed:
+            continue
+        i = rng.choice(observed)
+        rows[i] = replace(rows[i], utility_receiver=rng.choice((100.5, -1.0, math.nan)))
+        state, fit = PredictorState(PredictorConfig(enabled=True, warmup=warmup)), None
+        for stop in range(1, len(rows) + 1):
+            expected, fit = rebuilt_advice(rows[:stop], a, warmup, fit)
+            assert advise(state, rows[:stop], a) == expected
+            assert state.fit == fit
+            if stop > i and not state.valid and state.mode == "active":
+                invalid_calls += 1
+    assert calls > 500 and invalid_calls > 20
+    assert kinds == {"none", "continue", "terminate-unprofitable", "acceptance-forecast"}

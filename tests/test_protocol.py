@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from negosim.domain import Issue, IssueOption, OfferVector, total_profit
+from negosim.domain import Issue, IssueOption, OfferVector, reservation_utility, total_profit
 from negosim.prediction import PredictorConfig
 from negosim.protocol import (
     Accept,
@@ -26,6 +26,7 @@ from negosim.tactics import (
 )
 
 from conftest import ladder_profile, random_offer, random_profile
+from perfbench.checks import PartySpec, session_violations
 
 
 def ladder_offer(utility):
@@ -342,3 +343,50 @@ def test_session_replies_follow_respond_randomized():
     assert kinds == {"agreement", "withdrawal", "early-termination", "deadline-expiry"}
     assert {"offer", "accept", "withdraw"} <= actions
     assert any(action.startswith("terminate-") for action in actions)
+
+
+def party_spec(profile):
+    ratings = {i.name: {o.label: o.rating for o in i.options} for i in profile.issues}
+    return PartySpec(profile.agent_id, ratings, dict(profile.weights), profile.deadline)
+
+
+def sharing_zeros(rng, profile, agent_id):
+    """Like :func:`rerated`, but each issue keeps its zero-rated option, so no
+    offer trips the threshold rule and sessions run into deep concessions."""
+    issues = []
+    for issue in profile.issues:
+        positive = [opt.rating for opt in issue.options if opt.rating != 0]
+        rng.shuffle(positive)
+        ratings = iter(positive)
+        options = tuple(
+            IssueOption(opt.label, opt.rating if opt.rating == 0 else next(ratings))
+            for opt in issue.options
+        )
+        issues.append(Issue(issue.name, options))
+    return replace(profile, agent_id=agent_id, issues=tuple(issues), deadline=rng.randint(1, 40))
+
+
+def test_session_properties_randomized():
+    # contiguous rounds, agreements only from a final accept row, no party
+    # offering its own zero-rated option or anything below its reservation
+    rng = random.Random(1618)
+    kinds = set()
+    for n in range(300):
+        a = random_profile(rng, "a")
+        if n % 3 == 0:  # a pinned reservation puts offers below it in the offer table
+            a = replace(a, reservation_utility=rng.uniform(0.0, 90.0))
+        b = (rerated if n % 2 else sharing_zeros)(rng, a, "b")
+        profiles = {"a": a, "b": b}
+        outcome, trace = run_session(
+            a, b, random_tactic(rng), random_tactic(rng),
+            predictor_config=PredictorConfig(enabled=True, warmup=rng.randint(0, 5)),
+            max_rounds=50 if n % 5 else rng.randint(2, 10), opener=rng.choice("ab"),
+        )
+        kinds.add(outcome.kind)
+        parties = {agent: party_spec(profile) for agent, profile in profiles.items()}
+        assert session_violations(parties, outcome, trace) == []
+        for row in trace:
+            if row.action == "offer":
+                floor = reservation_utility(profiles[row.proposer]) - 1e-9
+                assert row.utility_proposer >= floor, row
+    assert kinds == {"agreement", "withdrawal", "early-termination", "deadline-expiry"}
