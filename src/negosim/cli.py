@@ -7,16 +7,17 @@ from dataclasses import replace
 from pathlib import Path
 
 import click
-import yaml
 
 from .domain import NegotiationError
 from .harness import (
     BatchResult,
+    _write_new,
     bundled_scenario,
     compare_prediction,
     load_scenario,
     run_batch,
     write_outputs,
+    yaml_text,
 )
 from .registry import DiscoveryQuery, ServiceRecord, ServiceRegistry
 
@@ -75,7 +76,7 @@ def batch(scenario_path, n_sessions, seed, out_dir) -> None:
     """Run a batch of sessions; write traces and aggregate statistics."""
     scenario = _load(scenario_path, seed)
     result = run_batch(scenario, n_sessions)
-    click.echo(yaml.safe_dump(result.stats.to_dict(), sort_keys=True).rstrip())
+    click.echo(yaml_text(result.stats.to_dict()).rstrip())
     if out_dir is not None:
         write_outputs(scenario, result, out_dir, traces=True)
         click.echo(f"wrote traces and stats to {out_dir}")
@@ -95,12 +96,12 @@ def compare(scenario_path, n_sessions, seed, out_dir) -> None:
         "on": comparison["on"].stats.to_dict(),
         "deltas": comparison["deltas"],
     }
-    text = yaml.safe_dump(report, sort_keys=True)
+    text = yaml_text(report)
     click.echo(text.rstrip())
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "compare.yaml").write_text(text)
+        _write_new(out / "compare.yaml", text)
         click.echo(f"wrote {out / 'compare.yaml'}")
 
 

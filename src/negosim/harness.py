@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import io
+import re
+import stat
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -94,8 +96,28 @@ def bundled_scenario(name: str) -> Path:
     return Path(resources.files("negosim") / "scenarios" / name)
 
 
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
+class _SafeLoader(yaml.SafeLoader):
+    """The pure-Python safe loader, rejecting lone surrogate escapes as libyaml does.
+
+    A string such as ``"\\ud800"`` cannot be written as UTF-8, so as a label it
+    would crash the trace writer.
+    """
+
+    def construct_yaml_str(self, node):
+        value = super().construct_yaml_str(node)
+        if _SURROGATE.search(value):
+            raise yaml.constructor.ConstructorError(
+                None, None, "found a lone surrogate escape", node.start_mark
+            )
+        return value
+
+
+_SafeLoader.add_constructor("tag:yaml.org,2002:str", _SafeLoader.construct_yaml_str)
 # PyYAML's libyaml-based safe loader builds the same objects several times faster
-_SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_SAFE_LOADER = getattr(yaml, "CSafeLoader", _SafeLoader)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -225,7 +247,10 @@ def _load_agent(entry, alphabet, violations) -> AgentSpec | None:
     if not isinstance(entry, dict) or "id" not in entry:
         violations.append(f"agent entry {entry!r} needs an id")
         return None
-    agent_id = str(entry["id"])
+    agent_id = entry["id"]
+    if not isinstance(agent_id, str) or not agent_id:
+        violations.append(f"agent id must be a non-empty string, got {agent_id!r}")
+        return None
     ratings = _mapping(entry, "ratings", agent_id, violations)
     weights = _mapping(entry, "weights", agent_id, violations)
     deadline = entry.get("deadline", 0)
@@ -499,7 +524,7 @@ def write_outputs(
         for record in result.records:
             for stem, trace in record.traces:
                 path = out_dir / f"{stem}.csv"
-                path.write_text(trace_csv(trace, record.index, issue_names))
+                _write_new(path, trace_csv(trace, record.index, issue_names))
                 written.append(path)
     stats = {
         "schema_version": SCHEMA_VERSION,
@@ -509,6 +534,44 @@ def write_outputs(
         "outcomes": [_outcome_dict(record) for record in result.records],
     }
     stats_path = out_dir / "stats.yaml"
-    stats_path.write_text(yaml.safe_dump(stats, sort_keys=True))
+    _write_new(stats_path, yaml_text(stats))
     written.append(stats_path)
     return written
+
+
+# libyaml's emitter writes the same bytes as the pure-Python one for strings of
+# 1-64 printable ASCII characters; empty, non-ASCII, control and wrapping
+# strings can come out differently, so those documents take the Python emitter
+_C_DUMPER = getattr(yaml, "CSafeDumper", None)
+_C_SAFE_STRING = re.compile(r"[ -~]{1,64}")
+
+
+def _c_safe(data) -> bool:
+    if isinstance(data, str):
+        return _C_SAFE_STRING.fullmatch(data) is not None
+    if isinstance(data, dict):
+        return all(_c_safe(k) and _c_safe(v) for k, v in data.items())
+    if isinstance(data, list):
+        return all(map(_c_safe, data))
+    return data is None or isinstance(data, (int, float))  # bool is an int
+
+
+def yaml_text(data) -> str:
+    """``data`` as ``yaml.safe_dump(data, sort_keys=True)`` writes it, byte for byte."""
+    dumper = _C_DUMPER if _C_DUMPER is not None and _c_safe(data) else yaml.SafeDumper
+    return yaml.dump(data, Dumper=dumper, sort_keys=True)
+
+
+def _write_new(path: Path, text: str) -> None:
+    """Write ``text`` to ``path``, replacing a regular file there instead of truncating it.
+
+    ext4, XFS and btrfs start writeback when a file truncated to zero is
+    closed; a new file skips that. A hard link to the old file keeps the old
+    bytes. A symlink is written through, and a directory in the way raises.
+    """
+    try:
+        if stat.S_ISREG(path.lstat().st_mode):
+            path.unlink()
+    except FileNotFoundError:
+        pass
+    path.write_text(text)

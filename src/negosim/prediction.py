@@ -184,7 +184,10 @@ def _fit(family: str, cols: _Columns) -> tuple[float, float, float, float]:
         if not cols.positive:
             raise RegressionDomainError("power fit needs all t > 0 and all u > 0")
         log_a, b = _lstsq(cols.power, cols.log_u).tolist()
-        a, c = math.exp(log_a), 0.0
+        try:
+            a, c = math.exp(log_a), 0.0
+        except OverflowError:  # past about 709; NaN and -inf pass through to the check below
+            raise DegenerateDataError(f"{family} fit produced non-finite parameters") from None
         pred = a * t**b
     if not all(map(math.isfinite, (a, b, c))):
         raise DegenerateDataError(f"{family} fit produced non-finite parameters")

@@ -1,10 +1,17 @@
 import copy
+import itertools
 import math
+import os
+import re
+from dataclasses import replace
 
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
+import test_golden
+from negosim import cli, harness
 from negosim.cli import main
 from negosim.domain import enumerate_offers, total_profit
 from negosim.harness import (
@@ -171,6 +178,11 @@ class TestLoadScenario:
             (("coordination", "theta"), 10**400, "theta must be"),
             (("agents", 0, "ratings", "price", "high"), 10**400, "rating for option 'high'"),
             (("agents", 0, "tactic"), {"family": "time-dependent", "beta": 10**400}, "beta must be"),
+            (("agents", 0, "id"), 1, "agent id must be a non-empty string, got 1"),
+            (("agents", 0, "id"), [1, 2], "agent id must be a non-empty string, got [1, 2]"),
+            (("agents", 0, "id"), None, "agent id must be a non-empty string, got None"),
+            (("agents", 0, "id"), True, "agent id must be a non-empty string, got True"),
+            (("agents", 0, "id"), "", "agent id must be a non-empty string, got ''"),
         ],
         ids=[
             "seed-bool",
@@ -209,6 +221,11 @@ class TestLoadScenario:
             "theta-int-beyond-float",
             "rating-int-beyond-float",
             "beta-int-beyond-float",
+            "id-int",
+            "id-list",
+            "id-null",
+            "id-bool",
+            "id-empty",
         ],
     )
     def test_bad_field_is_a_listed_violation(self, tmp_path, path, value, named):
@@ -227,6 +244,13 @@ class TestLoadScenario:
         assert isinstance(result.exception, SystemExit)  # a ClickException, not a crash
         assert result.exit_code != 0
         assert "Traceback" not in result.output
+
+    def test_int_buyer_id_is_reported_as_a_bad_id(self, tmp_path):
+        raw = copy.deepcopy(MINIMAL_MARKET)
+        raw["agents"][1]["id"] = raw["coordination"]["buyer"] = raw["opener"] = 1
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(write_scenario(tmp_path, raw))
+        assert "agent id must be a non-empty string, got 1" in exc.value.violations
 
     @pytest.mark.parametrize("explicit", [True, False], ids=["supplier-opener", "supplier-first"])
     def test_one_to_many_opener_is_the_buyer(self, tmp_path, explicit):
@@ -466,3 +490,147 @@ class TestCli:
         result = runner.invoke(main, ["run", "--scenario", str(path)])
         assert result.exit_code != 0
         assert "seed" in result.output
+
+
+# ids that exercise the emitters' quoting: reserved words, numbers, indicators, spaces
+TRICKY_IDS = [
+    "null", "~", "yes", "No", "on", "1.5", "0x1F", "0o7", "1e3", ".inf", ".NaN",
+    "2020-01-01", "? x", "a: b", "x:", "#c", "x #y", "- x", "-", "!x", "&a", "*a",
+    "%x", "@x", "`x", "|", ">", "[x]", "{x}", ",x", "<<", "=", "'", '"', "'q'",
+    '"q"', " x", "x ", " " * 64,
+]
+C_SAFE_IDS = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), min_size=1, max_size=64)
+OUTSIDE_IDS = ["caf\u00e9", "\u2028", "a\rb", "\t", "x" * 65, " ".join(["word"] * 14)]
+SCENARIO_AGENT_IDS = ["company_a", "company_b", "firm_x", "firm_y", "seller_1", "seller_2", "seller_3"]
+
+
+@pytest.fixture(scope="module")
+def dumped_documents(tmp_path_factory):
+    """Every document ``yaml_text`` renders for ``batch --out`` (bilateral and market) and ``compare``."""
+    documents = []
+    yaml_text = harness.yaml_text
+
+    def spy(data):
+        documents.append(copy.deepcopy(data))
+        return yaml_text(data)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "yaml_text", spy)
+        patch.setattr(cli, "yaml_text", spy)
+        for command, name in [
+            ("batch", "aircraft.scenario"),
+            ("batch", "aircraft_market.scenario"),
+            ("compare", "disjoint.scenario"),
+        ]:
+            out = tmp_path_factory.mktemp("out")
+            result = CliRunner().invoke(
+                main, [command, "--scenario", str(bundled_scenario(name)), "-n", "2", "--out", str(out)]
+            )
+            assert result.exit_code == 0, result.output
+    assert len(documents) == 5  # two summaries, two stats.yaml, one comparison
+    assert any("contract" in outcome for doc in documents for outcome in doc.get("outcomes", []))
+    return documents
+
+
+def relabel(doc, names, number):
+    """``doc`` with agent ids renamed by ``names`` and every float replaced by ``number()``."""
+    if isinstance(doc, dict):
+        return {relabel(k, names, number): relabel(v, names, number) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [relabel(v, names, number) for v in doc]
+    if isinstance(doc, str):
+        return names.get(doc, doc)
+    if isinstance(doc, float):
+        return number()
+    return doc
+
+
+def agent_ids_in(doc) -> set:
+    if isinstance(doc, dict):
+        return set().union(*map(agent_ids_in, doc), *map(agent_ids_in, doc.values()))
+    if isinstance(doc, list):
+        return set().union(*map(agent_ids_in, doc))
+    return {doc} & set(SCENARIO_AGENT_IDS)
+
+
+class TestYamlText:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        ids=st.lists(
+            st.one_of(C_SAFE_IDS, st.sampled_from(TRICKY_IDS), st.sampled_from(OUTSIDE_IDS)),
+            min_size=len(SCENARIO_AGENT_IDS),
+            max_size=len(SCENARIO_AGENT_IDS),
+            unique=True,
+        ),
+        seed=st.integers(),
+        floats=st.lists(st.floats(), min_size=1, max_size=8),
+    )
+    def test_every_document_is_safe_dump_byte_for_byte(self, dumped_documents, ids, seed, floats):
+        names = dict(zip(SCENARIO_AGENT_IDS, ids))
+        for original in dumped_documents:
+            doc = relabel(original, names, itertools.cycle(floats).__next__)
+            if "seed" in doc:
+                doc["seed"] = seed
+            used = {names[agent] for agent in agent_ids_in(original)}
+            # the ids are the only strings not fixed by the code, so they pick the emitter
+            assert harness._c_safe(doc) == all(re.fullmatch(r"[ -~]{1,64}", i) for i in used)
+            assert harness.yaml_text(doc) == yaml.safe_dump(doc, sort_keys=True)
+
+    @pytest.mark.parametrize("outside", OUTSIDE_IDS)
+    def test_an_id_outside_the_class_takes_the_python_emitter(self, dumped_documents, outside):
+        for original in dumped_documents:
+            doc = relabel(original, {"company_b": outside}, lambda: 0.5)
+            assert harness._c_safe(doc) == ("company_b" not in agent_ids_in(original))
+            assert harness.yaml_text(doc) == yaml.safe_dump(doc, sort_keys=True)
+
+    @pytest.mark.parametrize("name", sorted(test_golden.GOLDEN_SHA256))
+    def test_golden_hashes_with_the_python_emitter(self, name, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_C_DUMPER", None)
+        test_golden.test_bundled_outputs_match_golden_hashes(name, tmp_path)
+
+
+class TestOutputFiles:
+    def test_rewrite_replaces_every_output_with_a_new_file(self, aircraft_scenario, tmp_path):
+        out, kept, fresh = tmp_path / "out", tmp_path / "kept", tmp_path / "fresh"
+        kept.mkdir()
+        old = {}
+        for path in write_outputs(aircraft_scenario, run_batch(aircraft_scenario, 3), out):
+            os.link(path, kept / path.name)  # also keeps the old inode from being reused
+            old[path.name] = path.read_bytes()
+        rerun = replace(aircraft_scenario, seed=aircraft_scenario.seed + 1)  # a new stats.yaml
+        result = run_batch(rerun, 3)
+        written = write_outputs(rerun, result, out)
+        write_outputs(rerun, result, fresh)
+        assert [path.name for path in written] == list(old)
+        for path in written:
+            assert path.read_bytes() == (fresh / path.name).read_bytes()
+            assert path.stat().st_ino != (kept / path.name).stat().st_ino
+            assert (kept / path.name).read_bytes() == old[path.name]
+        assert (out / "stats.yaml").read_bytes() != old["stats.yaml"]
+
+    def test_symlinked_output_is_written_through(self, aircraft_scenario, tmp_path):
+        target, out = tmp_path / "elsewhere.yaml", tmp_path / "out"
+        target.write_text("old\n")
+        out.mkdir()
+        (out / "stats.yaml").symlink_to(target)
+        result = run_batch(aircraft_scenario, 1)
+        write_outputs(aircraft_scenario, result, out, traces=False)
+        write_outputs(aircraft_scenario, result, tmp_path / "fresh", traces=False)
+        assert (out / "stats.yaml").is_symlink()
+        assert target.read_bytes() == (tmp_path / "fresh" / "stats.yaml").read_bytes()
+
+    def test_batch_out_with_a_directory_for_stats_is_a_diagnostic(self, tmp_path):
+        (tmp_path / "stats.yaml").mkdir()
+        result = CliRunner().invoke(
+            main,
+            [
+                "batch",
+                "--scenario", str(bundled_scenario("aircraft.scenario")),
+                "-n", "1",
+                "--out", str(tmp_path),
+            ],
+        )
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert "Is a directory" in result.output
+        assert "Traceback" not in result.output

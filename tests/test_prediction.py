@@ -166,6 +166,11 @@ class TestSelectModel:
         with pytest.raises(DegenerateDataError):
             select_model(series((0, 10), (1, 12)))
 
+    def test_power_intercept_beyond_float_is_degenerate(self):
+        # log a is about 2e6, so exp(log a) overflows instead of giving inf
+        with pytest.raises(DegenerateDataError):
+            select_model(series((0.01, 1.0), (0.0100001, 50.0), (0.0100002, 100.0)))
+
 
 class TestPredictUtility:
     def test_linear_example(self):
@@ -403,6 +408,13 @@ class TestAdvise:
         profile = ladder_profile(deadline=10)
         trace = incoming_trace(profile, [30.0, 40.0])
         advice = advise(self.state(warmup=2), trace, profile)
+        assert advice.kind == "continue"
+
+    def test_power_intercept_beyond_float_advises_continue(self):
+        # rounds 50..52 of 10**6: the power fit's exp(log a) overflows
+        profile = ladder_profile(deadline=10**6)
+        trace = incoming_trace(profile, [1.0, 50.0, 100.0], rounds=[50, 51, 52])
+        advice = advise(self.state(warmup=3), trace, profile)
         assert advice.kind == "continue"
 
     def test_observations_rebuilt_from_trace(self):
