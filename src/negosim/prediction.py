@@ -30,6 +30,7 @@ if TYPE_CHECKING:
 FAMILIES = ("linear", "power", "quadratic")  # simplest first
 _MIN_POINTS = {"linear": 2, "power": 2, "quadratic": 3}
 SSE_TIE_EPS = 1e-9
+_SSE_GUARD = 1e-7  # share of Σu² that bounds an SSE estimate's error; see _approximate_sse
 
 
 class DegenerateDataError(NegotiationError):
@@ -62,9 +63,11 @@ class ObservationSeries:
 
 
 def _check_points(points, last_t: float | None = None) -> None:
-    """Raise :class:`DataError` unless the times strictly increase, starting
-    after ``last_t``, and every utility lies in [0, 100]."""
+    """Raise :class:`DataError` unless the times are finite and strictly
+    increase, starting after ``last_t``, and every utility lies in [0, 100]."""
     for t, u in points:
+        if not math.isfinite(t):
+            raise DataError("observation times must be finite")
         if last_t is not None and t <= last_t:
             raise DataError("observation times must be strictly increasing")
         if not 0 <= u <= 100:
@@ -88,6 +91,7 @@ class RegressionFit:
 _ONE, _T, _T2, _ONE_LOG, _LOG_T, _U, _LOG_U = range(7)
 _LINEAR, _QUADRATIC, _POWER = slice(_ONE, _T2), slice(_ONE, _ONE_LOG), slice(_ONE_LOG, _U)
 _EPS = np.finfo(np.float64).eps
+_KAPPA_MAX = _SSE_GUARD / (64 * _EPS)  # about 7.0e6: n * kappa up to which _SSE_GUARD holds
 
 
 class _Columns:
@@ -95,16 +99,24 @@ class _Columns:
 
     Each point adds ``[1, t, t^2]`` and ``u``, and, while every point so far
     has t > 0 and u > 0 (the power family's domain), ``[1, log t]`` and
-    ``log u``. Each quantity is one contiguous buffer row: numpy may take
-    another code path for ``**`` and ``log`` on strided input, and the
-    fits must see the floats a one-shot build of the same points gives.
-    The attributes are views of the first ``n`` columns, renewed by
-    :meth:`extend`; each design matrix is a transposed run of rows.
+    ``log u``; the logs are filled in when a power fit first reads them.
+    Each quantity is one contiguous buffer row: numpy may take another code
+    path for ``**`` and ``log`` on strided input, and the fits must see the
+    floats a one-shot build of the same points gives. The properties are
+    views of the first ``n`` columns; each design matrix is a transposed
+    run of rows.
+
+    ``sums`` holds the running sums (Σt, Σt², Σt³, Σt⁴, Σu, Σtu, Σt²u, Σu²)
+    and, while the points are positive, ``log_sums`` holds (Σx, Σx², Σy,
+    Σxy, Σy²) for x = log t and y = log u; :func:`_approximate_sse` reads them.
     """
 
     def __init__(self, points=()):
         self.n = 0
         self.positive = True
+        self.sums = (0.0,) * 8
+        self.log_sums = (0.0,) * 5
+        self._logged = 0  # columns whose log rows are filled in
         self._buf = self._allocate(16)
         self.extend(points)
 
@@ -123,18 +135,40 @@ class _Columns:
             grown = self._allocate(capacity)
             grown[:, :lo] = self._buf[:, :lo]
             self._buf = grown
-        buf = self._buf
+        buf, positive = self._buf, self.positive
+        s1, s2, s3, s4, su, stu, st2u, suu = self.sums
+        x1, x2, y1, xy, y2 = self.log_sums
         for i, (t, u) in enumerate(points, lo):
-            buf[_T, i], buf[_T2, i], buf[_U, i] = t, t * t, u  # t * t: numpy's t**2, bit for bit
-            self.positive = self.positive and not (t <= 0 or u <= 0)
-        if self.positive:
+            t2 = t * t  # numpy's t**2, bit for bit
+            buf[_T, i], buf[_T2, i], buf[_U, i] = t, t2, u
+            t, t2, u = float(t), float(t2), float(u)  # Python ints would not overflow to inf
+            s1, s2, s3, s4 = s1 + t, s2 + t2, s3 + t2 * t, s4 + t2 * t2
+            su, stu, st2u, suu = su + u, stu + t * u, st2u + t2 * u, suu + u * u
+            positive = positive and not (t <= 0 or u <= 0)
+            if positive:
+                x, y = math.log(t), math.log(u)
+                x1, x2, y1, xy, y2 = x1 + x, x2 + x * x, y1 + y, xy + x * y, y2 + y * y
+        self.sums = s1, s2, s3, s4, su, stu, st2u, suu
+        self.log_sums = x1, x2, y1, xy, y2
+        self.positive = positive
+        self.n = hi
+
+    def _logs(self) -> np.ndarray:
+        """The buffer, its log rows filled in up to ``n`` (meaningful while positive)."""
+        lo, hi, buf = self._logged, self.n, self._buf
+        if hi > lo:
             np.log(buf[_T, lo:hi], out=buf[_LOG_T, lo:hi])
             np.log(buf[_U, lo:hi], out=buf[_LOG_U, lo:hi])
-        self.n = hi
-        self.t, self.t2, self.u = buf[_T, :hi], buf[_T2, :hi], buf[_U, :hi]
-        self.log_u = buf[_LOG_U, :hi]
-        self.linear, self.quadratic = buf[_LINEAR, :hi].T, buf[_QUADRATIC, :hi].T
-        self.power = buf[_POWER, :hi].T
+            self._logged = hi
+        return buf
+
+    t = property(lambda self: self._buf[_T, : self.n])
+    t2 = property(lambda self: self._buf[_T2, : self.n])
+    u = property(lambda self: self._buf[_U, : self.n])
+    linear = property(lambda self: self._buf[_LINEAR, : self.n].T)
+    quadratic = property(lambda self: self._buf[_QUADRATIC, : self.n].T)
+    power = property(lambda self: self._logs()[_POWER, : self.n].T)
+    log_u = property(lambda self: self._logs()[_LOG_U, : self.n])
 
     def __len__(self) -> int:
         return self.n
@@ -195,22 +229,106 @@ def _fit(family: str, cols: _Columns) -> tuple[float, float, float, float]:
     return a, b, c, float(np.add.reduce((pred - u) ** 2))
 
 
+def _approximate_sse(cols: _Columns) -> dict[str, tuple[float, float]]:
+    """``family -> (sse, guard)``: the SSE :func:`_fit` would return lies
+    within ``guard`` of ``sse``, and ``_fit`` would raise nothing.
+
+    Only the families the running sums can vouch for are present. Linear
+    and quadratic come from the sums alone: Gram-Schmidt on the normal
+    equations of ``[1, t, t^2]`` in centred form, whose last pivot is the
+    SSE. A running sum of n terms is off by at most n*eps times the sum of
+    the terms' sizes, and each pivot step multiplies a relative error by at
+    most its diagonal-to-pivot ratio; with ``kappa`` the product of those
+    ratios, the closed form is within c*n*eps*kappa*Σu² of the exact
+    least-squares SSE. ``_fit`` solves with gelsd, which is normwise
+    backward stable, so its SSE, residual rounding included, is within
+    c*n*eps*kappa_x*Σu² of the same value, kappa_x the design's 2-norm
+    condition number (here bounded by trace(G) * trace(G^-1) for the Gram
+    matrix G). With c = 64, both stay under ``_SSE_GUARD * Σu²`` as long as
+    n * max(kappa, kappa_x) <= :data:`_KAPPA_MAX`; the bound on kappa_x
+    also keeps gelsd's rank test (cut-off eps * n) from dropping a column.
+
+    Power's SSE is on the original scale, so it needs a pass over the
+    points: with a and b from the closed-form log-log line and p = t^b, it
+    is a²Σp² - 2aΣpu + Σu². Each point's fitted log value is within
+    c*n*eps*kappa*||log u|| of gelsd's, which moves the SSE by at most three
+    times that share of (Σu² + SSE), and the three terms lose at most
+    c*n*eps*(Σu² + SSE) to cancellation; the guard covers both while
+    n * kappa * (1 + ||log u||) <= _KAPPA_MAX.
+    Power is left out unless ``|log a| <= 700``, so ``exp`` neither
+    overflows (past 709.78) nor underflows in either fit.
+    """
+    approx = {}
+    n = cols.n
+    s1, s2, s3, s4, su, stu, st2u, suu = cols.sums
+    vt = s2 - s1 * s1 / n  # t's pivot: Σ(t - mean t)²
+    if vt > 0:
+        ct = s3 - s1 * s2 / n  # Σ(t - mean t)(t² - mean t²)
+        vt2 = s4 - s2 * s2 / n  # Σ(t² - mean t²)²
+        vq = vt2 - ct * ct / vt  # t²'s pivot, after 1 and t
+        if vq > 0:
+            kappa = s2 / vt * (s4 / vq)
+            # kappa_x² <= trace(G) * trace(G^-1); det G = n*vt*vq, and s2*s4 bounds
+            # the cofactor s2*s4 - s3²
+            kappa_x2 = (n + s2 + s4) * (n * (vt + vt2) + s2 * s4) / n / vt / vq
+            limit = _KAPPA_MAX / n
+            if kappa <= limit and kappa_x2 <= limit * limit:  # False on NaN
+                cu = stu - s1 * su / n  # Σ(t - mean t)(u - mean u)
+                qu = st2u - s2 * su / n - ct * cu / vt  # t²'s pivot column against u
+                linear = suu - su * su / n - cu * cu / vt
+                guard = _SSE_GUARD * suu
+                approx["linear"] = linear, guard
+                approx["quadratic"] = linear - qu * qu / vq, guard
+    if cols.positive:
+        x1, x2, y1, xy, y2 = cols.log_sums
+        vx = x2 - x1 * x1 / n
+        if vx > 0:
+            b = (xy - x1 * y1 / n) / vx
+            log_a = (y1 - b * x1) / n
+            limit = _KAPPA_MAX / (n * (1.0 + math.sqrt(y2)))
+            kappa, kappa_x2 = x2 / vx, (n + x2) * (n + x2) / (n * vx)  # as above, for [1, x]
+            if kappa <= limit and kappa_x2 <= limit * limit and abs(log_a) <= 700.0:
+                a, p = math.exp(log_a), cols.t**b
+                sse = a * (a * float(p @ p) - 2.0 * float(p @ cols.u)) + suu
+                approx["power"] = sse, _SSE_GUARD * (suu + abs(sse))
+    return approx
+
+
+def _candidates(cols: _Columns) -> list[str]:
+    """The admissible families, in :data:`FAMILIES` order, whose exact fit may
+    have the lowest SSE or tie with it.
+
+    A family is left out only when :func:`_approximate_sse` shows that its
+    SSE exceeds another family's by more than ``SSE_TIE_EPS``: then it is
+    neither the minimum nor tied with it, and raises nothing.
+    """
+    admissible = FAMILIES if cols.positive else ("linear", "quadratic")
+    approx = _approximate_sse(cols)
+    if not approx:
+        return admissible
+    cut = min([sse + guard for sse, guard in approx.values()]) + SSE_TIE_EPS
+    return [f for f in admissible if f not in approx or not approx[f][0] - approx[f][1] > cut]
+
+
+@np.errstate(all="ignore")  # a fit that fails gives NaN or inf, and DegenerateDataError
 def select_model(series: ObservationSeries | _Columns) -> RegressionFit:
-    """Fit every admissible family and keep the lowest SSE.
+    """Fit every admissible family that can win and keep the lowest SSE.
 
     Takes a series, or the columns a :class:`PredictorState` grew. Power is
     only admissible on strictly positive data. SSE ties (within 1e-9) go to
-    the simpler family: linear < power < quadratic.
+    the simpler family: linear < power < quadratic. Only the families
+    :func:`_candidates` keeps are fitted; the result, and any error raised,
+    is that of fitting every admissible family.
     """
     if len(series) < _MIN_POINTS["quadratic"]:
         raise DegenerateDataError("model selection needs at least 3 points")
     cols = series if isinstance(series, _Columns) else _Columns(series.points)
-    with np.errstate(all="ignore"):  # family -> (a, b, c, sse), simplest family first
-        fits = {f: _fit(f, cols) for f in FAMILIES if f != "power" or cols.positive}
-    best_sse = min(sse for *_, sse in fits.values())
-    family = next(f for f, (*_, sse) in fits.items() if sse <= best_sse + SSE_TIE_EPS)
-    a, b, c, sse = fits[family]
-    return RegressionFit(family=family, a=a, b=b, c=c, sse=sse)
+    # (family, a, b, c, sse), simplest family first
+    fits = [(f, *_fit(f, cols)) for f in _candidates(cols)]
+    # a power fit whose a underflows to 0 can give a NaN SSE, which never wins
+    best_sse = min([fit[4] for fit in fits if not math.isnan(fit[4])])
+    family, a, b, c, sse = next(fit for fit in fits if fit[4] <= best_sse + SSE_TIE_EPS)
+    return RegressionFit(family, a, b, sse, c)
 
 
 def evaluate_fit(fit: RegressionFit, t: float) -> float:

@@ -152,21 +152,24 @@ def behavior_target(
     """
     me = profile.agent_id
     previous_target = None
-    opp_utils = []
-    for row in trace:
+    recent = []  # the opponent's latest offer utilities, newest first
+    for row in reversed(trace):  # back to the last own offer and 2 * delta opponent offers
         if row.action != "offer":
             continue
-        if row.proposer == me:
+        if row.proposer != me:
+            if len(recent) < 2 * delta:
+                recent.append(row.utility_receiver)
+        elif previous_target is None:
             previous_target = row.utility_proposer
-        else:
-            opp_utils.append(row.utility_receiver)
+        if previous_target is not None and len(recent) == 2 * delta:
+            break
     if previous_target is None:
         trace.note_fallback(me, "no own offer yet; opening at maximum")
         return MAX_UTILITY
-    if len(opp_utils) < 2 * delta or opp_utils[-delta] == 0:
+    if len(recent) < 2 * delta or recent[delta - 1] == 0:
         trace.note_fallback(me, "insufficient opponent history; repeating last offer")
         return previous_target
-    ratio = opp_utils[-delta - 1] / opp_utils[-delta]
+    ratio = recent[delta] / recent[delta - 1]
     target = previous_target * ratio
     return min(max(target, trace.offer_table(profile).reservation), MAX_UTILITY)
 

@@ -19,7 +19,10 @@ from negosim.prediction import (
     RegressionDomainError,
     RegressionFit,
     FAMILIES,
+    SSE_TIE_EPS,
     _Columns,
+    _approximate_sse,
+    _candidates,
     _fit,
     _lstsq,
     advise,
@@ -33,7 +36,7 @@ from negosim.prediction import (
     scale_numeric,
     select_model,
 )
-from negosim import protocol
+from negosim import prediction, protocol
 from negosim.protocol import SessionTrace, TraceRow, run_session
 
 from conftest import ladder_profile, random_profile
@@ -72,6 +75,14 @@ class TestObservationSeries:
     def test_out_of_range_utility_rejected(self):
         with pytest.raises(DataError):
             series((0.0, 10.0), (1.0, 120.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_non_finite_time_rejected(self, bad, at):
+        points = [(0.0, 10.0), (1.0, 20.0), (2.0, 30.0)]
+        points[at] = (bad, points[at][1])
+        with pytest.raises(DataError, match="finite"):
+            series(*points)
 
 
 class TestFitRegression:
@@ -597,3 +608,199 @@ def test_advise_in_sessions_matches_the_one_shot_fit_randomized(monkeypatch):
                 invalid_calls += 1
     assert calls > 500 and invalid_calls > 20
     assert kinds == {"none", "continue", "terminate-unprofitable", "acceptance-forecast"}
+
+
+# --- select_model against a reference that fits every admissible family -----
+
+
+def reference_fit(t: np.ndarray, u: np.ndarray, family: str):
+    """One family's ``(a, b, c, sse)`` from ``np.linalg.lstsq`` and the residual
+    formulas in :class:`RegressionFit`'s terms."""
+    ones = np.ones(len(t))
+    if family == "linear":
+        design, target = np.column_stack([ones, t]), u
+    elif family == "quadratic":
+        design, target = np.column_stack([ones, t, t**2]), u
+    else:
+        design, target = np.column_stack([ones, np.log(t)]), np.log(u)
+    coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+    if rank < design.shape[1]:
+        raise DegenerateDataError("singular")
+    if family == "linear":
+        (a, b), c = coef.tolist(), 0.0
+        pred = b * t + a
+    elif family == "quadratic":
+        c, b, a = coef.tolist()
+        pred = a * t**2 + b * t + c
+    else:
+        log_a, b = coef.tolist()
+        try:
+            a, c = math.exp(log_a), 0.0
+        except OverflowError:
+            raise DegenerateDataError("overflow") from None
+        pred = a * t**b
+    if not all(map(math.isfinite, (a, b, c))):
+        raise DegenerateDataError("non-finite")
+    return a, b, c, float(((pred - u) ** 2).sum())
+
+
+def reference_fits(t: np.ndarray, u: np.ndarray) -> dict:
+    """``family -> fit``, or the type of the error it raised, for every
+    admissible family, simplest first; power needs t > 0 and u > 0."""
+    fits = {}
+    for family in FAMILIES if np.all(t > 0) and np.all(u > 0) else ("linear", "quadratic"):
+        try:
+            with np.errstate(all="ignore"):
+                fits[family] = reference_fit(t, u, family)
+        except DegenerateDataError as exc:
+            fits[family] = type(exc)
+    return fits
+
+
+def reference_select_model(fits: dict):
+    """The first family's error, if any; else the lowest SSE, ties within
+    SSE_TIE_EPS going to the simpler family."""
+    for fit in fits.values():
+        if isinstance(fit, type):
+            return fit
+    best_sse = min(sse for *_, sse in fits.values())
+    family = next(f for f, (*_, sse) in fits.items() if sse <= best_sse + SSE_TIE_EPS)
+    a, b, c, sse = fits[family]
+    return RegressionFit(family=family, a=a, b=b, c=c, sse=sse)
+
+
+def bits(outcome):
+    """A fit as its family and the exact bits of its floats, or an error's type."""
+    if isinstance(outcome, RegressionFit):
+        return outcome.family, *(x.hex() for x in (outcome.a, outcome.b, outcome.c, outcome.sse))
+    return outcome
+
+
+def check_against_reference(cols: _Columns) -> dict:
+    """Assert that select_model gives the reference's fit, or raises its error
+    type, bit for bit, and that each SSE estimate lies within its guard of
+    the exact SSE; return the estimates."""
+    fits = reference_fits(cols.t.copy(), cols.u.copy())
+    try:
+        got = select_model(cols)
+    except DegenerateDataError as exc:
+        got = type(exc)
+    assert bits(got) == bits(reference_select_model(fits)), (cols.t.tolist(), cols.u.tolist())
+    with np.errstate(all="ignore"):
+        approx = _approximate_sse(cols)
+    for family, (sse, guard) in approx.items():
+        assert abs(sse - fits[family][3]) <= guard, (family, cols.t.tolist(), cols.u.tolist())
+    return approx
+
+
+def test_select_model_matches_the_reference_on_every_long_horizon_fit(monkeypatch):
+    # the benchmark's seed-1 long_horizon sessions, with each fit checked as it is made
+    from perfbench import workloads
+
+    live_select_model = prediction.select_model
+    calls, solves = 0, 0
+
+    def checked_select_model(cols):
+        nonlocal calls, solves
+        calls += 1
+        with np.errstate(all="ignore"):
+            solves += len(_candidates(cols))
+        check_against_reference(cols)
+        return live_select_model(cols)
+
+    workload = workloads.make("long_horizon", 1, None)
+    monkeypatch.setattr(prediction, "select_model", checked_select_model)
+    for key in range(workload.units):
+        workload.run(key)
+    assert calls > 20_000
+    assert solves < 1.1 * calls  # fitting all would take more than 2 solves per call
+
+
+def test_select_model_matches_the_reference_on_hard_series():
+    rng = random.Random(11)
+    cases = []
+    # flat series: every family's SSE is rounding noise, so all tie
+    for first in (0.0, 0.005):
+        for n in (3, 4, 10, 60):
+            for level in (0.0, 37.5, 60.0, 100.0):
+                cases.append([(first + i / 200, level) for i in range(n)])
+    # times packed into ever narrower ranges, up to a singular design
+    for width in np.logspace(-1, -9, 33):
+        for start in (0.5, 1.0):
+            n = rng.randint(3, 40)
+            times = start + np.sort(rng.sample(range(10**6), n)) / 10**6 * width
+            cases.append([(float(t), rng.uniform(1.0, 100.0)) for t in times])
+    cases += [
+        [(0.01, 1.0), (0.0100001, 50.0), (0.0100002, 100.0)],  # power's exp(log a) overflows
+        [(0.0, 3.0), (1.0, 4.0), (2.0, 11.0), (3.0, 24.0)],  # t = 0: power is inadmissible
+        [(1.0, 0.0), (2.0, 6.0), (3.0, 12.0), (4.0, 13.0)],  # u = 0: likewise
+        [(1.0, 10.0), (math.nextafter(1.0, 2.0), 15.0), (1.5, 20.0)],  # times one ulp apart
+        # power's a underflows to 0 and t**b overflows, so its SSE is NaN, and
+        # linear, far worse than quadratic, is not fitted
+        [(0.3, 100.0), (0.375, 1e-150), (0.45, 1e-300)],
+        [(10**100, 10), (2 * 10**100, 20), (3 * 10**100, 50)],  # t^4 is too large a float
+    ]
+    closed = 0
+    for points in cases:
+        closed += not check_against_reference(_Columns(points))
+    times = [np.array([t for t, _ in points], dtype=float) for points in cases]
+    conditions = [np.linalg.cond(np.column_stack([np.ones(len(t)), t, t * t])) for t in times]
+    assert sorted(conditions)[-10] > 1e6  # kappa(XᵀX) = kappa(X)² passes 1e12
+    assert 0 < closed < len(cases)  # some estimates are refused, others used
+
+
+def near_tie_cases(rng, count):
+    """Quadratic series whose linear SSE sits within a few ulps of the tie
+    margin: u = 40 + 10 t + k t^2 for the floats k around the crossing."""
+    cases = []
+    for _ in range(count):
+        times = sorted(rng.sample(range(1, 1000), rng.randint(4, 30)))
+        times = [t / rng.choice((1000, 200)) for t in times]
+
+        def series_for(k):
+            return [(t, 40.0 + 10.0 * t + k * t * t) for t in times]
+
+        def linear_wins(k):
+            t, u = np.array(series_for(k)).T
+            fits = reference_fits(t, u)
+            return fits["linear"][3] <= fits["quadratic"][3] + SSE_TIE_EPS
+
+        lo, hi = 0.0, 1.0  # linear wins at k = 0 and loses at k = 1
+        while math.nextafter(lo, hi) < hi:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if linear_wins(mid) else (lo, mid)
+        k = lo
+        for _ in range(4):
+            k = math.nextafter(k, 0.0)
+        for _ in range(9):
+            cases.append(series_for(k))
+            k = math.nextafter(k, 2.0)
+    return cases
+
+
+def test_select_model_matches_the_reference_at_near_ties():
+    cases = near_tie_cases(random.Random(12), 25)
+    columns = [_Columns(points) for points in cases]
+    winners = {select_model(cols).family for cols in columns}
+    assert winners == {"linear", "quadratic"}
+    for cols in columns:
+        check_against_reference(cols)
+
+
+def test_select_model_matches_the_reference_randomized():
+    rng = np.random.default_rng(13)
+    for _ in range(1500):
+        n = int(rng.integers(3, 150))
+        start = rng.choice((0.0, 1 / 250, rng.uniform(0.0, 1.0)))
+        times = start + np.cumsum(rng.uniform(0.001, 0.05, n))
+        shape = rng.integers(4)
+        if shape == 0:  # noise
+            u = rng.uniform(0.0, 100.0, n)
+        elif shape == 1:  # a concession curve on a ladder of 2.5
+            u = 2.5 * np.round((rng.uniform(5, 40) + rng.uniform(-30, 30) * times ** rng.uniform(0.3, 3)) / 2.5)
+        elif shape == 2:  # power law with noise
+            u = rng.uniform(1, 30) * times ** rng.uniform(-1, 2) + rng.normal(0, rng.choice((0.0, 0.01, 1.0)), n)
+        else:  # quadratic with noise
+            u = 50 + rng.normal(0, 10) * times + rng.normal(0, 10) * times**2 + rng.normal(0, 0.1, n)
+        u = np.clip(u, 0.0, 100.0)
+        check_against_reference(_Columns(list(zip(times.tolist(), u.tolist()))))

@@ -161,6 +161,54 @@ class TestBehaviorDependent:
         assert behavior_target(profile, SessionTrace(), delta=1) == 100.0
 
 
+def full_walk_behavior_target(profile, trace, delta):
+    """Reference: the tit-for-tat target from a forward walk over the whole trace."""
+    me = profile.agent_id
+    previous_target = None
+    opp_utils = []
+    for row in trace:
+        if row.action != "offer":
+            continue
+        if row.proposer == me:
+            previous_target = row.utility_proposer
+        else:
+            opp_utils.append(row.utility_receiver)
+    if previous_target is None:
+        trace.note_fallback(me, "no own offer yet; opening at maximum")
+        return 100.0
+    if len(opp_utils) < 2 * delta or opp_utils[-delta] == 0:
+        trace.note_fallback(me, "insufficient opponent history; repeating last offer")
+        return previous_target
+    ratio = opp_utils[-delta - 1] / opp_utils[-delta]
+    target = previous_target * ratio
+    return min(max(target, reservation_utility(profile)), 100.0)
+
+
+def test_backward_walk_matches_the_full_walk_randomized():
+    # two traces get the same rows; each function notes its fallbacks in its own
+    rng = random.Random(77)
+    outcomes = set()
+    for _ in range(300):
+        profile = ladder_profile(reservation=rng.choice((None, rng.uniform(0.0, 90.0))))
+        delta = rng.randint(1, 3)
+        fast, slow = SessionTrace(), SessionTrace()
+        for r in range(rng.randint(0, 40)):
+            proposer = profile.agent_id if rng.random() < 0.5 else "opponent"
+            action = "offer" if rng.random() < 0.85 else rng.choice(("accept", "withdraw"))
+            # utilities of 0 to me make the lag-delta ratio undefined
+            theirs = rng.choice((0.0, rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)))
+            row = TraceRow(r, proposer, OfferVector({"value": "p5"}), rng.uniform(0.0, 100.0), theirs, action)
+            fast.append(row)
+            slow.append(row)
+            notes = len(slow.metadata["fallbacks"])
+            expected = full_walk_behavior_target(profile, slow, delta)
+            assert behavior_target(profile, fast, delta) == expected
+            assert fast.metadata["fallbacks"] == slow.metadata["fallbacks"]
+            new_notes = slow.metadata["fallbacks"][notes:]
+            outcomes.add(new_notes[0][2] if new_notes else "reciprocated")
+    assert len(outcomes) == 3
+
+
 class TestMixed:
     def test_degenerate_mixture_equals_pure_tactic(self):
         profile = ladder_profile()
