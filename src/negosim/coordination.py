@@ -14,7 +14,13 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .domain import NegotiationError, PreferenceProfile, is_number
-from .protocol import DEFAULT_DIVERGENCE_WINDOW, SessionOutcome, SessionTrace, run_session
+from .protocol import (
+    DEFAULT_DIVERGENCE_WINDOW,
+    DEFAULT_MAX_ROUNDS,
+    SessionOutcome,
+    SessionTrace,
+    run_session,
+)
 from .tactics import Tactic
 
 STRATEGIES = ("desperate", "patient", "adapted")
@@ -122,14 +128,14 @@ def run_one_to_many(
     buyer_tactic: Tactic,
     suppliers: Sequence[tuple[PreferenceProfile, Tactic]],
     plan: CoordinationPlan,
-    max_rounds: int = 100,
+    max_rounds: int = DEFAULT_MAX_ROUNDS,
     predictor_config=None,
     divergence_window: int = DEFAULT_DIVERGENCE_WINDOW,
 ) -> tuple[ContractChoice | None, list[SubBuyerResult], list[SessionTrace]]:
     """Run every sub-buyer thread, then coordinate.
 
-    The buyer opens every thread. Losing threads still running when the
-    coordinator commits are marked coordinator-cancelled in their traces.
+    The buyer opens every thread. A losing thread still running when the
+    coordinator commits gets the commit round as its ``cancelled_at``.
     """
     if not suppliers:
         raise PlanError("one-to-many mode needs at least one supplier")
@@ -163,5 +169,4 @@ def run_one_to_many(
         for i, result in enumerate(results):
             if result.thread_id != choice.thread_id and result.completion_round > choice.round:
                 results[i] = replace(result, cancelled_at=choice.round)
-                traces[i].metadata["coordinator-cancelled"] = choice.round
     return choice, results, traces

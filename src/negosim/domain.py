@@ -29,12 +29,20 @@ class OutOfDomainError(NegotiationError):
     """A value falls outside a discretization scheme's covered domain."""
 
 
+def is_int(value) -> bool:
+    """An integer; a boolean is not one, so YAML ``true`` is not a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def unknown_keys(raw: Mapping, known) -> list:
+    """The keys of ``raw`` not in ``known``, sorted by repr: YAML keys may mix types."""
+    return sorted((key for key in raw if key not in known), key=repr)
+
+
 def is_number(value) -> bool:
     """A real number that has a float value; a boolean is not a number, nor is
     an integer beyond the float range."""
-    return isinstance(value, float) or (
-        isinstance(value, int) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
-    )
+    return isinstance(value, float) or (is_int(value) and abs(value) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)

@@ -32,16 +32,34 @@ from .domain import (
     InvalidProfileError,
     NegotiationError,
     PreferenceProfile,
+    is_int,
     is_number,
     make_profile,
+    unknown_keys,
     validate_profile,
 )
 from .prediction import PredictorConfig
-from .protocol import DEFAULT_DIVERGENCE_WINDOW, SessionOutcome, SessionTrace, run_session
+from .protocol import (
+    DEFAULT_DIVERGENCE_WINDOW,
+    DEFAULT_MAX_ROUNDS,
+    SessionOutcome,
+    SessionTrace,
+    run_session,
+)
 from .tactics import ParameterError, Tactic, TimeDependentTactic, tactic_from_dict
 
 SCHEMA_VERSION = 1
 MODES = ("bilateral", "one-to-many")
+# the keys of each mapping a scenario file holds; tactics and predictors check their own
+_TOP_LEVEL_KEYS = (
+    "schema_version", "seed", "mode", "opener", "max_rounds", "divergence_window",
+    "issues", "agents", "coordination",
+)
+_ISSUE_KEYS = ("name", "options")
+_AGENT_KEYS = (
+    "id", "role", "deadline", "reservation_utility", "weights", "ratings", "tactic", "predictor",
+)
+_COORDINATION_KEYS = ("buyer", "suppliers", "strategy", "theta")
 
 
 class ScenarioError(NegotiationError):
@@ -85,10 +103,6 @@ class Scenario:
             for spec in self.agents
         )
         return replace(self, agents=agents)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)  # YAML true is not a count
 
 
 def bundled_scenario(name: str) -> Path:
@@ -136,21 +150,22 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(str(path), ["top level must be a mapping"])
 
     violations: list[str] = []
+    _check_keys(raw, _TOP_LEVEL_KEYS, "top level", violations)
     if raw.get("schema_version") != SCHEMA_VERSION:
         violations.append(
             f"schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}"
         )
     seed = raw.get("seed")
-    if not _is_int(seed):
+    if not is_int(seed):
         violations.append("seed is required and must be an integer (determinism contract)")
     mode = raw.get("mode", "bilateral")
     if mode not in MODES:
         violations.append(f"mode must be one of {MODES}, got {mode!r}")
-    max_rounds = raw.get("max_rounds", 100)
-    if not _is_int(max_rounds) or max_rounds < 0:
+    max_rounds = raw.get("max_rounds", DEFAULT_MAX_ROUNDS)
+    if not is_int(max_rounds) or max_rounds < 0:
         violations.append(f"max_rounds must be a non-negative integer, got {max_rounds!r}")
     divergence_window = raw.get("divergence_window", DEFAULT_DIVERGENCE_WINDOW)
-    if not _is_int(divergence_window) or not (divergence_window == 0 or divergence_window >= 2):
+    if not is_int(divergence_window) or not (divergence_window == 0 or divergence_window >= 2):
         violations.append(
             f"divergence_window must be 0 (off) or an integer >= 2, got {divergence_window!r}"
         )
@@ -166,6 +181,7 @@ def load_scenario(path: str | Path) -> Scenario:
         if not name or not isinstance(options, list) or not options:
             violations.append(f"issue entry {entry!r} needs a name and a non-empty option list")
             continue
+        _check_keys(entry, _ISSUE_KEYS, f"issue {name!r}", violations)
         alphabet.append((str(name), tuple(str(o) for o in options)))
 
     agents: list[AgentSpec] = []
@@ -192,6 +208,7 @@ def load_scenario(path: str | Path) -> Scenario:
         if not isinstance(coord, dict):
             violations.append("one-to-many mode requires a coordination section")
         else:
+            _check_keys(coord, _COORDINATION_KEYS, "coordination", violations)
             buyer_id = coord.get("buyer")
             if buyer_id not in ids:
                 violations.append(f"coordination buyer {buyer_id!r} is not a declared agent")
@@ -235,6 +252,12 @@ def load_scenario(path: str | Path) -> Scenario:
     )
 
 
+def _check_keys(raw: dict, known: tuple[str, ...], where: str, violations: list[str]) -> None:
+    unknown = unknown_keys(raw, known)
+    if unknown:
+        violations.append(f"{where}: unknown keys {unknown}")
+
+
 def _mapping(entry: dict, key: str, agent_id: str, violations: list[str]) -> dict:
     value = entry.get(key, {})
     if isinstance(value, dict):
@@ -251,10 +274,11 @@ def _load_agent(entry, alphabet, violations) -> AgentSpec | None:
     if not isinstance(agent_id, str) or not agent_id:
         violations.append(f"agent id must be a non-empty string, got {agent_id!r}")
         return None
+    _check_keys(entry, _AGENT_KEYS, f"agent {agent_id!r}", violations)
     ratings = _mapping(entry, "ratings", agent_id, violations)
     weights = _mapping(entry, "weights", agent_id, violations)
     deadline = entry.get("deadline", 0)
-    if not _is_int(deadline):
+    if not is_int(deadline):
         violations.append(f"agent {agent_id!r}: deadline must be an integer, got {deadline!r}")
         deadline = 1  # stand-in so the rest of the profile is still checked
     reservation = entry.get("reservation_utility")

@@ -9,7 +9,7 @@ weighted inputs is available as a trainable next-offer-utility predictor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -20,8 +20,10 @@ from .domain import (
     NegotiationError,
     PreferenceProfile,
     discretize,
+    is_int,
     reservation_utility,
     total_profit,  # not called here; perfbench/test_perfbench.py asserts this binding exists
+    unknown_keys,
 )
 
 if TYPE_CHECKING:
@@ -200,12 +202,11 @@ def fit_regression(series: ObservationSeries, family: str) -> RegressionFit:
             f"{family} fit needs >= {_MIN_POINTS[family]} points, got {n}"
         )
     with np.errstate(all="ignore"):
-        a, b, c, sse = _fit(family, _Columns(series.points))
-    return RegressionFit(family=family, a=a, b=b, c=c, sse=sse)
+        return _fit(family, _Columns(series.points))
 
 
-def _fit(family: str, cols: _Columns) -> tuple[float, float, float, float]:
-    """``(a, b, c, sse)`` of one family's fit, in :class:`RegressionFit`'s terms."""
+def _fit(family: str, cols: _Columns) -> RegressionFit:
+    """One family's least-squares fit to the points of ``cols``."""
     t, u = cols.t, cols.u
     if family == "linear":
         a, b = _lstsq(cols.linear, u).tolist()
@@ -226,7 +227,7 @@ def _fit(family: str, cols: _Columns) -> tuple[float, float, float, float]:
     if not all(map(math.isfinite, (a, b, c))):
         raise DegenerateDataError(f"{family} fit produced non-finite parameters")
     # np.add.reduce is ndarray.sum's pairwise sum, without the method's wrapper
-    return a, b, c, float(np.add.reduce((pred - u) ** 2))
+    return RegressionFit(family, a, b, float(np.add.reduce((pred - u) ** 2)), c)
 
 
 def _approximate_sse(cols: _Columns) -> dict[str, tuple[float, float]]:
@@ -323,12 +324,10 @@ def select_model(series: ObservationSeries | _Columns) -> RegressionFit:
     if len(series) < _MIN_POINTS["quadratic"]:
         raise DegenerateDataError("model selection needs at least 3 points")
     cols = series if isinstance(series, _Columns) else _Columns(series.points)
-    # (family, a, b, c, sse), simplest family first
-    fits = [(f, *_fit(f, cols)) for f in _candidates(cols)]
+    fits = [_fit(f, cols) for f in _candidates(cols)]  # simplest family first
     # a power fit whose a underflows to 0 can give a NaN SSE, which never wins
-    best_sse = min([fit[4] for fit in fits if not math.isnan(fit[4])])
-    family, a, b, c, sse = next(fit for fit in fits if fit[4] <= best_sse + SSE_TIE_EPS)
-    return RegressionFit(family, a, b, sse, c)
+    best_sse = min([fit.sse for fit in fits if not math.isnan(fit.sse)])
+    return next(fit for fit in fits if fit.sse <= best_sse + SSE_TIE_EPS)
 
 
 def evaluate_fit(fit: RegressionFit, t: float) -> float:
@@ -558,9 +557,8 @@ class PredictorConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.enabled, bool):
             raise ValueError(f"enabled must be true or false, got {self.enabled!r}")
-        warmup = self.warmup
-        if not isinstance(warmup, int) or isinstance(warmup, bool) or warmup < 0:
-            raise ValueError(f"warmup must be a non-negative integer, got {warmup!r}")
+        if not is_int(self.warmup) or self.warmup < 0:
+            raise ValueError(f"warmup must be a non-negative integer, got {self.warmup!r}")
 
     @classmethod
     def from_dict(cls, raw: dict | None) -> "PredictorConfig":
@@ -568,7 +566,10 @@ class PredictorConfig:
             return cls()
         if not isinstance(raw, dict):
             raise ValueError(f"must be a mapping, got {raw!r}")
-        return cls(enabled=raw.get("enabled", False), warmup=raw.get("warmup", 5))
+        unknown = unknown_keys(raw, {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown keys {unknown}")
+        return cls(**raw)  # a key left out takes the field's default
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,13 @@ from .domain import (
     NegotiationError,
     OfferVector,
     PreferenceProfile,
+    is_int,
     total_profit,
 )
 from .prediction import PredictorState, advise
 from .tactics import OfferTable, Tactic
 
+DEFAULT_MAX_ROUNDS = 100
 DEFAULT_DIVERGENCE_WINDOW = 3
 
 
@@ -48,18 +50,11 @@ class TraceRow:
 
 
 class SessionTrace:
-    """Append-only per-round record of offers and actions.
-
-    While a session runs, the trace also carries each party's
-    :class:`~negosim.tactics.OfferTable`, since the trace is the one
-    per-session object a tactic receives. :func:`run_session` drops the
-    tables before it returns.
-    """
+    """Append-only per-round record of offers and actions."""
 
     def __init__(self) -> None:
         self._rows: list[TraceRow] = []
         self.metadata: dict = {"fallbacks": []}
-        self._tables: dict[str, OfferTable] = {}
 
     @property
     def rows(self) -> tuple[TraceRow, ...]:
@@ -74,16 +69,6 @@ class SessionTrace:
 
     def note_fallback(self, agent_id: str, reason: str) -> None:
         self.metadata["fallbacks"].append((agent_id, len(self._rows), reason))
-
-    def offer_table(self, profile: PreferenceProfile) -> OfferTable:
-        """``profile``'s offer table for this session, built on first use."""
-        table = self._tables.get(profile.agent_id)
-        if table is None or table.profile is not profile:
-            table = self._tables[profile.agent_id] = OfferTable(profile)
-        return table
-
-    def drop_tables(self) -> None:
-        self._tables.clear()
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -200,7 +185,7 @@ def run_session(
     tactic_a: Tactic,
     tactic_b: Tactic,
     predictor_config=None,
-    max_rounds: int = 100,
+    max_rounds: int = DEFAULT_MAX_ROUNDS,
     opener: str | None = None,
     divergence_window: int = DEFAULT_DIVERGENCE_WINDOW,
 ) -> tuple[SessionOutcome, SessionTrace]:
@@ -213,89 +198,79 @@ def run_session(
     mapping ``{agent_id: config}``) arms per-agent behavior prediction.
     Check order on a responding turn: deadline withdrawal, threshold /
     divergence termination, predictor advice, then accept-or-counter.
-    ``divergence_window`` is 0 (the divergence rule is off) or at least 2.
+    ``max_rounds`` is an integer >= 0; ``divergence_window`` is 0 (the
+    divergence rule is off) or an integer >= 2. Each party's
+    :class:`~negosim.tactics.OfferTable` is built before round 0, so a
+    profile it rejects raises :class:`~negosim.domain.InvalidProfileError`
+    even when no round is played.
     """
     _check_alphabets(profile_a, profile_b)
-    profiles = {profile_a.agent_id: profile_a, profile_b.agent_id: profile_b}
-    tactics = {profile_a.agent_id: tactic_a, profile_b.agent_id: tactic_b}
-    if len(profiles) != 2:
+    ids = (profile_a.agent_id, profile_b.agent_id)
+    if ids[0] == ids[1]:
         raise SetupError("the two parties must have distinct agent ids")
     if opener is None:
-        opener = profile_a.agent_id
-    if opener not in profiles:
+        opener = ids[0]
+    if opener not in ids:
         raise SetupError(f"opener {opener!r} is not one of the parties")
-    if not (divergence_window == 0 or divergence_window >= 2):
+    if not is_int(max_rounds) or max_rounds < 0:
+        raise SetupError(f"max_rounds must be an integer >= 0, got {max_rounds!r}")
+    if not is_int(divergence_window) or not (divergence_window == 0 or divergence_window >= 2):
         raise SetupError(f"divergence_window must be 0 (off) or >= 2, got {divergence_window!r}")
 
-    configs = (
-        predictor_config
-        if isinstance(predictor_config, Mapping)
-        else dict.fromkeys(profiles, predictor_config)
-    )
-    predictors: dict[str, PredictorState | None] = {}
-    for agent_id in profiles:
-        config = configs.get(agent_id)
-        enabled = config is not None and config.enabled
-        predictors[agent_id] = PredictorState(config) if enabled else None
-
-    order = list(profiles)
-    if order[0] != opener:
-        order.reverse()
+    # per party, opener first: its offer table, its tactic and its predictor
+    sides = []
+    for profile, tactic in ((profile_a, tactic_a), (profile_b, tactic_b)):
+        config = predictor_config
+        if isinstance(config, Mapping):
+            config = config.get(profile.agent_id)
+        predictor = PredictorState(config) if config is not None and config.enabled else None
+        sides.append((OfferTable(profile), tactic, predictor))
+    if opener != ids[0]:
+        sides.reverse()
 
     trace = SessionTrace()
-    try:
-        standing: TraceRow | None = None  # the offer on the table, as its proposer recorded it
-        round_no = 0
-        while round_no < max_rounds:
-            me = order[round_no % 2]
-            other = order[(round_no + 1) % 2]
-            profile = profiles[me]
-            try:
-                planned = tactics[me].propose(profile, trace, round_no)
-                # a malformed counter is a protocol violation by its proposer
-                planned_utilities = (
-                    total_profit(profile, planned),
-                    total_profit(profiles[other], planned),
-                )
-            except InvalidOfferError:
-                return SessionOutcome(kind="withdrawal", round=round_no, party=me), trace
+    standing: TraceRow | None = None  # the offer on the table, as its proposer recorded it
+    for round_no in range(max_rounds):
+        table, tactic, predictor = sides[round_no % 2]
+        other = sides[1 - round_no % 2][0].profile
+        profile = table.profile
+        me = profile.agent_id
+        try:
+            planned = tactic.propose(table, trace, round_no)
+            # a malformed counter is a protocol violation by its proposer
+            planned_utilities = (total_profit(profile, planned), total_profit(other, planned))
+        except InvalidOfferError:
+            return SessionOutcome(kind="withdrawal", round=round_no, party=me), trace
 
+        if standing is not None:
+            # respond()'s law, on the utilities recorded when each offer was scored
+            mine, theirs = standing.utility_receiver, standing.utility_proposer
             outcome = None
-            if standing is not None:
-                # respond()'s law, on the utilities recorded when each offer was scored
-                mine, theirs = standing.utility_receiver, standing.utility_proposer
-                if round_no > profile.deadline:
-                    action = "withdraw"
-                    outcome = SessionOutcome(kind="withdrawal", round=round_no, party=me)
-                else:
-                    reason = check_termination(trace, profile, divergence_window)
-                    predictor = predictors[me]
-                    if reason is None and predictor is not None:
-                        if advise(predictor, trace, profile).kind == "terminate-unprofitable":
-                            reason = "unprofitable"
-                    if reason is not None:
-                        action = f"terminate-{reason}"
-                        outcome = SessionOutcome(
-                            kind="early-termination", round=round_no, party=me, reason=reason
-                        )
-                    elif mine > planned_utilities[0]:
-                        action = "accept"
-                        outcome = SessionOutcome(
-                            kind="agreement",
-                            round=round_no,
-                            offer=standing.offer,
-                            utilities={a: mine if a == me else theirs for a in profiles},
-                        )
-
-            if outcome is None:
-                row = TraceRow(round_no, me, planned, *planned_utilities, "offer")
-            else:  # a terminal row restates the standing offer from this party's side
-                row = TraceRow(round_no, me, standing.offer, mine, theirs, action)
-            trace.append(row)
-            if outcome is not None:
+            if round_no > profile.deadline:
+                action = "withdraw"
+                outcome = SessionOutcome(kind="withdrawal", round=round_no, party=me)
+            else:
+                reason = check_termination(trace, profile, divergence_window)
+                if reason is None and predictor is not None:
+                    if advise(predictor, trace, profile).kind == "terminate-unprofitable":
+                        reason = "unprofitable"
+                if reason is not None:
+                    action = f"terminate-{reason}"
+                    outcome = SessionOutcome(
+                        kind="early-termination", round=round_no, party=me, reason=reason
+                    )
+                elif mine > planned_utilities[0]:
+                    action = "accept"
+                    outcome = SessionOutcome(
+                        kind="agreement",
+                        round=round_no,
+                        offer=standing.offer,
+                        utilities={a: mine if a == me else theirs for a in ids},
+                    )
+            if outcome is not None:  # the terminal row restates the standing offer from this side
+                trace.append(TraceRow(round_no, me, standing.offer, mine, theirs, action))
                 return outcome, trace
-            standing = row
-            round_no += 1
-        return SessionOutcome(kind="deadline-expiry", round=round_no), trace
-    finally:
-        trace.drop_tables()  # the tables are per session; a kept trace must not hold them
+
+        standing = TraceRow(round_no, me, planned, *planned_utilities, "offer")
+        trace.append(standing)
+    return SessionOutcome(kind="deadline-expiry", round=max_rounds), trace

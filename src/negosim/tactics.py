@@ -21,9 +21,11 @@ from .domain import (
     NegotiationError,
     OfferVector,
     PreferenceProfile,
+    is_int,
     is_number,
     reservation_utility,
     total_profit,  # not called here; perfbench/test_perfbench.py asserts this binding exists
+    unknown_keys,
 )
 
 if TYPE_CHECKING:
@@ -101,8 +103,9 @@ def _decode(profile: PreferenceProfile, menus: list, index: tuple) -> OfferVecto
 
 
 class OfferTable:
-    """One party's constants for one session: its reservation utility and its
-    zero-free offer space sorted by utility.
+    """One party's constants for one session: its profile, its reservation
+    utility and its zero-free offer space sorted by utility. A session
+    builds one per party before round 0 and hands it to that party's tactic.
 
     The sort is stable over the C-order (lexicographic) flattening, so among
     equal utilities the smallest label vector comes first.
@@ -138,9 +141,7 @@ def offer_for_target(profile: PreferenceProfile, target: float) -> OfferVector:
     return OfferTable(profile).offer(target)
 
 
-def behavior_target(
-    profile: PreferenceProfile, trace: "SessionTrace", delta: int = 1
-) -> float:
+def behavior_target(table: OfferTable, trace: "SessionTrace", delta: int = 1) -> float:
     """Relative tit-for-tat target in the agent's own utility space.
 
     The opponent's concession is measured as the ratio between its offers'
@@ -150,7 +151,7 @@ def behavior_target(
     each offer was made. With insufficient history the previous target is
     kept (recorded in the trace metadata as a fallback).
     """
-    me = profile.agent_id
+    me = table.profile.agent_id
     previous_target = None
     recent = []  # the opponent's latest offer utilities, newest first
     for row in reversed(trace):  # back to the last own offer and 2 * delta opponent offers
@@ -171,23 +172,21 @@ def behavior_target(
         return previous_target
     ratio = recent[delta] / recent[delta - 1]
     target = previous_target * ratio
-    return min(max(target, trace.offer_table(profile).reservation), MAX_UTILITY)
+    return min(max(target, table.reservation), MAX_UTILITY)
 
 
 class Tactic:
-    """An offer generator: pure function of (profile, trace, round).
+    """An offer generator: pure function of (table, trace, round).
 
-    Offers and reservation utilities come from the trace's per-session
-    :class:`OfferTable` of the proposing party.
+    ``table`` is the proposing party's :class:`OfferTable` for the session:
+    its profile, its reservation utility and its offers.
     """
 
-    def target(self, profile: PreferenceProfile, trace: "SessionTrace", round: int) -> float:
+    def target(self, table: OfferTable, trace: "SessionTrace", round: int) -> float:
         raise NotImplementedError
 
-    def propose(
-        self, profile: PreferenceProfile, trace: "SessionTrace", round: int
-    ) -> OfferVector:
-        return trace.offer_table(profile).offer(self.target(profile, trace, round))
+    def propose(self, table: OfferTable, trace: "SessionTrace", round: int) -> OfferVector:
+        return table.offer(self.target(table, trace, round))
 
 
 @dataclass(frozen=True)
@@ -198,9 +197,9 @@ class TimeDependentTactic(Tactic):
     def __post_init__(self) -> None:
         time_alpha(0.0, 1.0, self.k, self.beta)  # rejects k outside [0, 1] and beta <= 0
 
-    def target(self, profile, trace, round):
-        alpha = time_alpha(round, profile.deadline, self.k, self.beta)
-        return _concede(alpha, trace.offer_table(profile).reservation)
+    def target(self, table, trace, round):
+        alpha = time_alpha(round, table.profile.deadline, self.k, self.beta)
+        return _concede(alpha, table.reservation)
 
 
 @dataclass(frozen=True)
@@ -215,9 +214,9 @@ class ResourceDependentTactic(Tactic):
     def resource_remaining(self, profile, round) -> float:
         return max(profile.deadline - round, 0)
 
-    def target(self, profile, trace, round):
-        alpha = resource_alpha(self.resource_remaining(profile, round), self.k)
-        return _concede(alpha, trace.offer_table(profile).reservation)
+    def target(self, table, trace, round):
+        alpha = resource_alpha(self.resource_remaining(table.profile, round), self.k)
+        return _concede(alpha, table.reservation)
 
 
 @dataclass(frozen=True)
@@ -225,12 +224,11 @@ class BehaviorDependentTactic(Tactic):
     delta: int = 1
 
     def __post_init__(self) -> None:
-        delta = self.delta
-        if isinstance(delta, bool) or not isinstance(delta, int) or delta < 1:
-            raise ParameterError(f"imitation lag delta must be an integer >= 1, got {delta!r}")
+        if not is_int(self.delta) or self.delta < 1:
+            raise ParameterError(f"imitation lag delta must be an integer >= 1, got {self.delta!r}")
 
-    def target(self, profile, trace, round):
-        return behavior_target(profile, trace, self.delta)
+    def target(self, table, trace, round):
+        return behavior_target(table, trace, self.delta)
 
 
 @dataclass(frozen=True)
@@ -244,8 +242,17 @@ class MixedTactic(Tactic):
         if abs(sum(weights) - 1.0) > 1e-9:
             raise ParameterError(f"mixture weights must sum to 1, got {sum(weights):g}")
 
-    def target(self, profile, trace, round):
-        return sum(w * tactic.target(profile, trace, round) for w, tactic in self.components)
+    def target(self, table, trace, round):
+        return sum(w * tactic.target(table, trace, round) for w, tactic in self.components)
+
+
+# each family's parameters; a mixture part also has its ``weight``
+_FIELDS = {
+    "time-dependent": ("k", "beta"),
+    "resource-dependent": ("k",),
+    "behavior-dependent": ("delta",),
+    "mixed": ("mixture",),
+}
 
 
 def _number(raw: Mapping, key: str, default: float | None = None) -> float:
@@ -270,19 +277,23 @@ def _tactic_from_dict(raw, outer: tuple) -> Tactic:
     if any(raw is mixture for mixture in outer):  # a YAML alias can make a mixture hold itself
         raise ParameterError("a mixture cannot contain itself")
     family = raw.get("family")
+    params = _FIELDS.get(family) if isinstance(family, str) else None
+    if params is None:
+        raise ParameterError(f"unknown tactic family {family!r}")
+    unknown = unknown_keys(raw, ("family", *params, *(("weight",) if outer else ())))
+    if unknown:
+        raise ParameterError(f"unknown {family} tactic fields {unknown}")
     if family == "time-dependent":
         return TimeDependentTactic(k=_number(raw, "k", 0.0), beta=_number(raw, "beta", 1.0))
     if family == "resource-dependent":
         return ResourceDependentTactic(k=_number(raw, "k", 0.0))
     if family == "behavior-dependent":
         return BehaviorDependentTactic(delta=raw.get("delta", 1))
-    if family == "mixed":
-        parts = raw.get("mixture", ())
-        if not isinstance(parts, (list, tuple)):
-            raise ParameterError(f"mixture must be a list, got {parts!r}")
-        components = []
-        for part in parts:
-            tactic = _tactic_from_dict(part, (*outer, raw))  # first, so a non-mapping is named
-            components.append((_number(part, "weight"), tactic))
-        return MixedTactic(components=tuple(components))
-    raise ParameterError(f"unknown tactic family {family!r}")
+    parts = raw.get("mixture", ())
+    if not isinstance(parts, (list, tuple)):
+        raise ParameterError(f"mixture must be a list, got {parts!r}")
+    components = []
+    for part in parts:
+        tactic = _tactic_from_dict(part, (*outer, raw))  # first, so a non-mapping is named
+        components.append((_number(part, "weight"), tactic))
+    return MixedTactic(components=tuple(components))

@@ -193,17 +193,16 @@ class TestRunOneToMany:
     def test_losers_past_commit_round_marked_cancelled(self):
         buyer = ladder_profile("buyer", deadline=20)
         # supplier deadlines differ, so threads finish at different rounds
-        choice, results, traces = run_one_to_many(
+        choice, results, _ = run_one_to_many(
             buyer, TimeDependentTactic(), self.suppliers(),
             CoordinationPlan("desperate"), max_rounds=60,
         )
         assert choice is not None
-        for res, trace in zip(results, traces):
+        for res in results:
             if res.thread_id == choice.thread_id:
                 assert res.cancelled_at is None
             elif res.completion_round > choice.round:
                 assert res.cancelled_at == choice.round
-                assert trace.metadata["coordinator-cancelled"] == choice.round
 
     def test_patient_never_cancels(self):
         buyer = ladder_profile("buyer", deadline=20)

@@ -183,6 +183,27 @@ class TestLoadScenario:
             (("agents", 0, "id"), None, "agent id must be a non-empty string, got None"),
             (("agents", 0, "id"), True, "agent id must be a non-empty string, got True"),
             (("agents", 0, "id"), "", "agent id must be a non-empty string, got ''"),
+            (("max_round",), 3, "top level: unknown keys ['max_round']"),
+            (("issues", 0, "option"), ["low"], "issue 'price': unknown keys ['option']"),
+            (("agents", 0, "deadlin"), 5, "agent 'a': unknown keys ['deadlin']"),
+            (("agents", 0, 1), 5, "agent 'a': unknown keys [1]"),
+            (("agents", 0, "predictor"), {"enabeld": True}, "unknown keys ['enabeld']"),
+            (
+                ("agents", 0, "tactic"),
+                {"family": "time-dependent", "bta": 0.2},
+                "unknown time-dependent tactic fields ['bta']",
+            ),
+            (
+                ("agents", 0, "tactic"),
+                {"family": "time-dependent", "weight": 1.0},
+                "unknown time-dependent tactic fields ['weight']",
+            ),
+            (
+                ("agents", 0, "tactic"),
+                {"family": "mixed", "mixture": [{"weight": 1.0, "family": "mixed", "k": 0}]},
+                "unknown mixed tactic fields ['k']",
+            ),
+            (("coordination", "stratgy"), "patient", "coordination: unknown keys ['stratgy']"),
         ],
         ids=[
             "seed-bool",
@@ -226,6 +247,15 @@ class TestLoadScenario:
             "id-null",
             "id-bool",
             "id-empty",
+            "top-level-unknown-key",
+            "issue-unknown-key",
+            "agent-unknown-key",
+            "agent-unknown-int-key",
+            "predictor-unknown-key",
+            "tactic-unknown-field",
+            "tactic-weight-outside-a-mixture",
+            "mixture-part-unknown-field",
+            "coordination-unknown-key",
         ],
     )
     def test_bad_field_is_a_listed_violation(self, tmp_path, path, value, named):

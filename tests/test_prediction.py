@@ -555,7 +555,7 @@ def test_grown_columns_fit_as_the_one_shot_series(first_time, zero_utility_at, c
             assert select_model(grown) == select_model(series), len(grown)
             for family in FAMILIES if grown.positive else ("linear", "quadratic"):
                 one_shot = fit_regression(series, family)
-                assert _fit(family, grown) == (one_shot.a, one_shot.b, one_shot.c, one_shot.sse)
+                assert _fit(family, grown) == one_shot
     if chunk == 1:  # every size, so each buffer-growth boundary too
         assert {16, 17, 32, 33, 64, 65} <= sizes
     assert grown.positive == (first_time > 0 and zero_utility_at is None)

@@ -3,7 +3,16 @@ from dataclasses import replace
 
 import pytest
 
-from negosim.domain import Issue, IssueOption, OfferVector, reservation_utility, total_profit
+from negosim.coordination import CoordinationPlan, run_one_to_many
+from negosim.domain import (
+    InvalidProfileError,
+    Issue,
+    IssueOption,
+    OfferVector,
+    PreferenceProfile,
+    reservation_utility,
+    total_profit,
+)
 from negosim.prediction import PredictorConfig
 from negosim.protocol import (
     Accept,
@@ -20,6 +29,7 @@ from negosim.protocol import (
 from negosim.tactics import (
     BehaviorDependentTactic,
     MixedTactic,
+    OfferTable,
     ResourceDependentTactic,
     Tactic,
     TimeDependentTactic,
@@ -165,7 +175,7 @@ class TestRunSession:
         accepted_value = total_profit(profile, outcome.offer)
         # the counter the accepter would have sent scores strictly less
         spec = a if accepter == a.id else b
-        planned = spec.tactic.propose(profile, trace, outcome.round)
+        planned = spec.tactic.propose(OfferTable(profile), trace, outcome.round)
         assert accepted_value > total_profit(profile, planned)
 
     def test_incompatible_alphabets_rejected(self, aircraft_scenario):
@@ -177,10 +187,10 @@ class TestRunSession:
 
     def test_malformed_offer_is_withdrawal_by_violator(self):
         class BrokenTactic(Tactic):
-            def propose(self, profile, trace, round):
+            def propose(self, table, trace, round):
                 return OfferVector({"value": "no-such-option"})
 
-            def target(self, profile, trace, round):
+            def target(self, table, trace, round):
                 return 100.0
 
         a = ladder_profile("a")
@@ -262,6 +272,63 @@ def test_divergence_window_of_one_rejected(window):
         run_session(a, b, TimeDependentTactic(), TimeDependentTactic(), divergence_window=window)
 
 
+SESSION_RUNNERS = {
+    "run_session": lambda a, b, **settings: run_session(
+        a, b, TimeDependentTactic(), TimeDependentTactic(), **settings
+    ),
+    "run_one_to_many": lambda a, b, **settings: run_one_to_many(
+        a, TimeDependentTactic(), [(b, TimeDependentTactic())], CoordinationPlan("patient"),
+        **settings,
+    ),
+}
+
+
+@pytest.mark.parametrize("runner", sorted(SESSION_RUNNERS))
+@pytest.mark.parametrize(
+    "setting, value",
+    [
+        ("max_rounds", 2.5),
+        ("max_rounds", True),
+        ("max_rounds", -3),
+        ("max_rounds", "3"),
+        ("divergence_window", 2.5),
+        ("divergence_window", True),
+        ("divergence_window", "3"),
+    ],
+)
+def test_session_settings_are_checked(runner, setting, value):
+    # 2.5 rounds would run 3, True would run 1 and -3 would expire at round 0
+    a, b = ladder_profile("a"), ladder_profile("b")
+    with pytest.raises(SetupError, match=setting):
+        SESSION_RUNNERS[runner](a, b, **{setting: value})
+
+
+@pytest.mark.parametrize("max_rounds", [0, 1])
+def test_offer_tables_are_built_before_round_0(max_rounds):
+    # "b" has no offer without a zero-rated option; the loader never builds such a
+    # profile. With one round only "a" acts, yet both tables exist before round 0.
+    a = PreferenceProfile("a", (Issue("x", (IssueOption("z", 50.0),)),), {"x": 100.0}, 5)
+    b = PreferenceProfile("b", (Issue("x", (IssueOption("z", 0.0),)),), {"x": 100.0}, 5)
+    with pytest.raises(InvalidProfileError, match="no positively rated option"):
+        run_session(a, b, TimeDependentTactic(), TimeDependentTactic(), max_rounds=max_rounds)
+
+
+def test_a_tactic_defining_only_target_plays_a_session(aircraft_scenario):
+    class LinearConceder(Tactic):
+        """TimeDependentTactic(k=0, beta=1), written against the offer table."""
+
+        def target(self, table, trace, round):
+            share = min(round, table.profile.deadline) / table.profile.deadline
+            return 100.0 - share * (100.0 - table.reservation)
+
+    a, b = aircraft_scenario.agents
+    custom = run_session(a.profile, b.profile, LinearConceder(), b.tactic, opener=b.id)
+    builtin = run_session(a.profile, b.profile, TimeDependentTactic(), b.tactic, opener=b.id)
+    assert custom[0].kind == "agreement"
+    assert custom[0] == builtin[0]
+    assert custom[1].rows == builtin[1].rows
+
+
 def test_single_offer_is_not_a_diverging_trend():
     profile = ladder_profile()
     trace = incoming_trace(profile, [50.0])
@@ -327,7 +394,8 @@ def test_session_replies_follow_respond_randomized():
                 replay = SessionTrace()
                 for earlier in rows[:r]:
                     replay.append(earlier)
-                planned = tactics[row.proposer].propose(profiles[row.proposer], replay, r)
+                table = OfferTable(profiles[row.proposer])
+                planned = tactics[row.proposer].propose(table, replay, r)
             state = NegotiationState(round=r)
             response = respond(profiles[row.proposer], state, rows[r - 1].offer, planned)
             if row.action == "offer":

@@ -23,6 +23,7 @@ from negosim.tactics import (
     BehaviorDependentTactic,
     MixedTactic,
     ParameterError,
+    OfferTable,
     ResourceDependentTactic,
     Tactic,
     TimeDependentTactic,
@@ -41,7 +42,7 @@ class FixedTargetTactic(Tactic):
     def __init__(self, value):
         self.value = value
 
-    def target(self, profile, trace, round):
+    def target(self, table, trace, round):
         return self.value
 
 
@@ -86,12 +87,14 @@ class TestTimeDependent:
 
     def test_start_returns_top_offer(self):
         profile = ladder_profile()
-        choices = TimeDependentTactic(k=0.0, beta=1.0).propose(profile, SessionTrace(), 0).choices
+        tactic = TimeDependentTactic(k=0.0, beta=1.0)
+        choices = tactic.propose(OfferTable(profile), SessionTrace(), 0).choices
         assert total_profit(profile, OfferVector(choices)) == 100.0
 
     def test_deadline_returns_reservation_offer(self):
         profile = ladder_profile()
-        choices = TimeDependentTactic(k=0.0, beta=1.0).propose(profile, SessionTrace(), 10).choices
+        tactic = TimeDependentTactic(k=0.0, beta=1.0)
+        choices = tactic.propose(OfferTable(profile), SessionTrace(), 10).choices
         assert total_profit(profile, OfferVector(choices)) == pytest.approx(
             reservation_utility(profile)
         )
@@ -137,28 +140,29 @@ class TestBehaviorDependent:
     def test_identical_opponent_offers_repeat_own_target(self):
         profile = ladder_profile()
         trace = ladder_trace(profile, own_utilities=[90.0], opp_utilities=[40.0, 40.0])
-        assert behavior_target(profile, trace, delta=1) == pytest.approx(90.0)
+        assert behavior_target(OfferTable(profile), trace, delta=1) == pytest.approx(90.0)
 
     def test_opponent_concession_is_reciprocated(self):
         # opponent's offers rose 25% in my scale -> my target drops by 1/1.25
         profile = ladder_profile()
         trace = ladder_trace(profile, own_utilities=[90.0], opp_utilities=[40.0, 50.0])
-        assert behavior_target(profile, trace, delta=1) == pytest.approx(90.0 * 40.0 / 50.0)
+        target = behavior_target(OfferTable(profile), trace, delta=1)
+        assert target == pytest.approx(90.0 * 40.0 / 50.0)
 
     def test_target_clamped_at_reservation(self):
         profile = ladder_profile(reservation=60.0)
         trace = ladder_trace(profile, own_utilities=[70.0], opp_utilities=[10.0, 90.0])
-        assert behavior_target(profile, trace, delta=1) == 60.0
+        assert behavior_target(OfferTable(profile), trace, delta=1) == 60.0
 
     def test_insufficient_history_falls_back_and_flags_trace(self):
         profile = ladder_profile()
         trace = ladder_trace(profile, own_utilities=[80.0], opp_utilities=[40.0])
-        assert behavior_target(profile, trace, delta=1) == pytest.approx(80.0)
+        assert behavior_target(OfferTable(profile), trace, delta=1) == pytest.approx(80.0)
         assert trace.metadata["fallbacks"]
 
     def test_opens_at_maximum_without_own_offer(self):
         profile = ladder_profile()
-        assert behavior_target(profile, SessionTrace(), delta=1) == 100.0
+        assert behavior_target(OfferTable(profile), SessionTrace(), delta=1) == 100.0
 
 
 def full_walk_behavior_target(profile, trace, delta):
@@ -190,6 +194,7 @@ def test_backward_walk_matches_the_full_walk_randomized():
     outcomes = set()
     for _ in range(300):
         profile = ladder_profile(reservation=rng.choice((None, rng.uniform(0.0, 90.0))))
+        table = OfferTable(profile)
         delta = rng.randint(1, 3)
         fast, slow = SessionTrace(), SessionTrace()
         for r in range(rng.randint(0, 40)):
@@ -202,7 +207,7 @@ def test_backward_walk_matches_the_full_walk_randomized():
             slow.append(row)
             notes = len(slow.metadata["fallbacks"])
             expected = full_walk_behavior_target(profile, slow, delta)
-            assert behavior_target(profile, fast, delta) == expected
+            assert behavior_target(table, fast, delta) == expected
             assert fast.metadata["fallbacks"] == slow.metadata["fallbacks"]
             new_notes = slow.metadata["fallbacks"][notes:]
             outcomes.add(new_notes[0][2] if new_notes else "reciprocated")
@@ -211,27 +216,25 @@ def test_backward_walk_matches_the_full_walk_randomized():
 
 class TestMixed:
     def test_degenerate_mixture_equals_pure_tactic(self):
-        profile = ladder_profile()
+        table = OfferTable(ladder_profile())
         trace = SessionTrace()
         pure = TimeDependentTactic(k=0.0, beta=1.0)
         mixed = MixedTactic(components=((1.0, pure), (0.0, FixedTargetTactic(5.0))))
         for t in (0, 3, 7, 10):
-            assert mixed.target(profile, trace, t) == pure.target(profile, trace, t)
-            assert mixed.propose(profile, trace, t).choices == pure.propose(
-                profile, trace, t
-            ).choices
+            assert mixed.target(table, trace, t) == pure.target(table, trace, t)
+            assert mixed.propose(table, trace, t).choices == pure.propose(table, trace, t).choices
 
     def test_weighted_mean_of_targets(self):
-        profile = ladder_profile()
+        table = OfferTable(ladder_profile())
         components = ((0.5, FixedTargetTactic(80.0)), (0.5, FixedTargetTactic(60.0)))
         mixed = MixedTactic(components=components)
-        assert mixed.target(profile, SessionTrace(), 0) == pytest.approx(70.0)
+        assert mixed.target(table, SessionTrace(), 0) == pytest.approx(70.0)
 
     def test_weighted_mean_skewed(self):
-        profile = ladder_profile()
+        table = OfferTable(ladder_profile())
         components = ((0.3, FixedTargetTactic(100.0)), (0.7, FixedTargetTactic(0.0)))
         mixed = MixedTactic(components=components)
-        assert mixed.target(profile, SessionTrace(), 0) == pytest.approx(30.0)
+        assert mixed.target(table, SessionTrace(), 0) == pytest.approx(30.0)
 
     def test_weight_sum_violation_rejected(self):
         components = ((0.5, FixedTargetTactic(80.0)), (0.6, FixedTargetTactic(60.0)))
@@ -239,9 +242,9 @@ class TestMixed:
             MixedTactic(components=components)
 
     def test_single_component_mixture_exact(self):
-        profile = ladder_profile()
+        table = OfferTable(ladder_profile())
         mixed = MixedTactic(components=((1.0, FixedTargetTactic(73.0)),))
-        assert mixed.target(profile, SessionTrace(), 0) == 73.0
+        assert mixed.target(table, SessionTrace(), 0) == 73.0
 
 
 class TestOfferMapping:
@@ -263,7 +266,7 @@ class TestOfferMapping:
         profile = ladder_profile(reservation=40.0)
         tactic = TimeDependentTactic(k=0.0, beta=2.0)
         for t in range(0, 11):
-            choices = tactic.propose(profile, SessionTrace(), t).choices
+            choices = tactic.propose(OfferTable(profile), SessionTrace(), t).choices
             assert total_profit(profile, OfferVector(choices)) >= 40.0
 
     @pytest.mark.parametrize(
@@ -316,12 +319,12 @@ def test_offer_for_target_matches_the_sorted_scan():
         targets = [-5.0, 0.0, 100.0, 100.0 + 1e-6, 150.0]
         for u in utilities:
             targets += [u, u - 1e-9, u + 1e-9, u - 2e-9, u + 2e-9]
-        trace = SessionTrace()  # a session's table: built once per profile, reused per target
+        table = OfferTable(profile)  # as in a session: built once per profile, reused per target
         for target in targets:
             expected = scan_offer_for_target(profile, pool, target)
             offer = offer_for_target(profile, target)
             assert list(offer.choices.items()) == list(expected.choices.items()), (n, target)
-            picked = FixedTargetTactic(target).propose(profile, trace, 0)
+            picked = FixedTargetTactic(target).propose(table, SessionTrace(), 0)
             assert list(picked.choices.items()) == list(expected.choices.items()), (n, target)
             cases += 1
     assert cases > 2000
