@@ -203,6 +203,8 @@ def load_scenario(path: str | Path) -> Scenario:
     if mode == "bilateral":
         if len(agents_raw) != 2:
             violations.append(f"bilateral mode needs exactly 2 agents, got {len(agents_raw)}")
+        if "coordination" in raw:  # read only in one-to-many mode, so it would mean nothing
+            violations.append("coordination: only one-to-many mode reads this section")
     else:
         coord = raw.get("coordination")
         if not isinstance(coord, dict):

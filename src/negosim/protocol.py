@@ -149,24 +149,31 @@ def check_termination(
     Returns ``"threshold"`` when the latest incoming offer picks an option
     the agent rates zero, ``"diverging"`` when the last ``window`` incoming
     offers are strictly losing value, else ``None`` (continue). A trend
-    needs two offers, so a window below 2 never diverges.
+    needs two offers, so a window below 2 never diverges. The walk back
+    through the trace ends at the first incoming offer that breaks the trend.
     """
-    recent = []  # the latest incoming offers, newest first
+    me = profile.agent_id
+    latest = None
+    losing = 0  # the latest incoming offers, over which the utility fell at every step
+    newer = 0.0  # the utility of the offer counted last
     for row in reversed(trace):
-        if row.proposer != profile.agent_id and row.action == "offer":
-            recent.append(row)
-            if len(recent) >= window:
-                break
-    if not recent:
+        if row.proposer == me or row.action != "offer":
+            continue
+        if latest is None:
+            latest = row.offer
+        elif not row.utility_receiver > newer:  # the newer offer lost nothing: no trend
+            break
+        losing += 1
+        newer = row.utility_receiver
+        if losing >= window:
+            break
+    if latest is None:
         return None
-    latest = recent[0].offer
     for issue in profile.issues:
         if latest.choices[issue.name] in issue.zero_rated_labels:
             return "threshold"
-    if window >= 2 and len(recent) >= window:
-        utilities = [row.utility_receiver for row in recent]  # newest first
-        if all(newer < older for newer, older in zip(utilities, utilities[1:])):
-            return "diverging"
+    if window >= 2 and losing >= window:
+        return "diverging"
     return None
 
 
@@ -232,13 +239,13 @@ def run_session(
     standing: TraceRow | None = None  # the offer on the table, as its proposer recorded it
     for round_no in range(max_rounds):
         table, tactic, predictor = sides[round_no % 2]
-        other = sides[1 - round_no % 2][0].profile
+        other = sides[1 - round_no % 2][0]
         profile = table.profile
         me = profile.agent_id
         try:
             planned = tactic.propose(table, trace, round_no)
             # a malformed counter is a protocol violation by its proposer
-            planned_utilities = (total_profit(profile, planned), total_profit(other, planned))
+            planned_utilities = (table.utility(planned), other.utility(planned))
         except InvalidOfferError:
             return SessionOutcome(kind="withdrawal", round=round_no, party=me), trace
 

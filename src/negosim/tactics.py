@@ -24,7 +24,7 @@ from .domain import (
     is_int,
     is_number,
     reservation_utility,
-    total_profit,  # not called here; perfbench/test_perfbench.py asserts this binding exists
+    total_profit,  # looked up at each call, so perfbench's tracer can rebind it here
     unknown_keys,
 )
 
@@ -96,29 +96,29 @@ def _zero_free_space(profile: PreferenceProfile) -> tuple[list, np.ndarray]:
     return menus, np.clip(utilities, 0.0, 100.0)
 
 
-def _decode(profile: PreferenceProfile, menus: list, index: tuple) -> OfferVector:
-    return OfferVector(
-        choices={issue.name: menu[i].label for issue, menu, i in zip(profile.issues, menus, index)}
-    )
-
-
 class OfferTable:
     """One party's constants for one session: its profile, its reservation
     utility and its zero-free offer space sorted by utility. A session
     builds one per party before round 0 and hands it to that party's tactic.
 
     The sort is stable over the C-order (lexicographic) flattening, so among
-    equal utilities the smallest label vector comes first.
+    equal utilities the smallest label vector comes first. For its own life
+    the table also keeps each offer it has served and each utility it has
+    given, so a repeated pick or a rescored offer is one dictionary lookup.
     """
 
     def __init__(self, profile: PreferenceProfile):
         self.profile = profile
         self.reservation = reservation_utility(profile)
         self._menus, utilities = _zero_free_space(profile)
-        self._shape = utilities.shape
         flat = utilities.ravel()
         self._order = np.argsort(flat, kind="stable")
         self._sorted = flat[self._order]
+        # the pick when nothing qualifies: the first offer of the largest utility
+        self._fallback = int(self._sorted.searchsorted(self._sorted[-1]))
+        self._served: dict[int, OfferVector] = {}  # sorted position -> its offer
+        # id(offer) -> (offer, utility); holding the offer keeps its id from being reused
+        self._scored: dict[int, tuple[OfferVector, float]] = {}
 
     def offer(self, target: float) -> OfferVector:
         """Cheapest concession meeting the target, by binary search.
@@ -126,13 +126,39 @@ class OfferTable:
         Picks the offer with the smallest utility >= target; if the target
         is above every candidate, the best offer below it. Candidates
         exclude the agent's own zero-rated options; ties go to the
-        lexicographically smallest label vector.
+        lexicographically smallest label vector. A repeated pick returns
+        the same object.
         """
-        sorted_u = self._sorted
-        i = int(np.searchsorted(sorted_u, target - 1e-9))
-        if i == sorted_u.size:  # nothing qualifies: the first offer of the largest utility
-            i = int(np.searchsorted(sorted_u, sorted_u[-1]))
-        return _decode(self.profile, self._menus, np.unravel_index(self._order[i], self._shape))
+        i = int(self._sorted.searchsorted(target - 1e-9))
+        if i == self._sorted.size:
+            i = self._fallback
+        offer = self._served.get(i)
+        if offer is None:
+            offer = self._served[i] = self._decode(int(self._order[i]))
+            self._scored[id(offer)] = (offer, float(self._sorted[i]))
+        return offer
+
+    def utility(self, offer: OfferVector) -> float:
+        """The party's :func:`~negosim.domain.total_profit` of ``offer``.
+
+        A served offer's utility is its sort key, already that float; any
+        other offer is scored on first sight and remembered, by identity,
+        so an offer's choices must not change once it is made. A malformed
+        offer raises :class:`~negosim.domain.InvalidOfferError`.
+        """
+        entry = self._scored.get(id(offer))
+        if entry is None:
+            entry = self._scored[id(offer)] = (offer, total_profit(self.profile, offer))
+        return entry[1]
+
+    def _decode(self, flat: int) -> OfferVector:
+        """The offer at index ``flat`` of the C-order flattened utility array."""
+        labels = []
+        for menu in reversed(self._menus):
+            flat, i = divmod(flat, len(menu))
+            labels.append(menu[i].label)
+        labels.reverse()
+        return OfferVector(choices=dict(zip((issue.name for issue in self.profile.issues), labels)))
 
 
 def offer_for_target(profile: PreferenceProfile, target: float) -> OfferVector:

@@ -204,6 +204,11 @@ class TestLoadScenario:
                 "unknown mixed tactic fields ['k']",
             ),
             (("coordination", "stratgy"), "patient", "coordination: unknown keys ['stratgy']"),
+            (
+                ("coordination",),
+                {"buyer": "b", "suppliers": ["a"], "strategy": "adapted", "theta": "not-a-number"},
+                "coordination: only one-to-many mode reads this section",
+            ),
         ],
         ids=[
             "seed-bool",
@@ -256,10 +261,12 @@ class TestLoadScenario:
             "tactic-weight-outside-a-mixture",
             "mixture-part-unknown-field",
             "coordination-unknown-key",
+            "coordination-in-bilateral-mode",
         ],
     )
     def test_bad_field_is_a_listed_violation(self, tmp_path, path, value, named):
-        raw = copy.deepcopy(MINIMAL_MARKET if path[0] == "coordination" else MINIMAL)
+        # a coordination field is set in a market; the section itself, in a bilateral scenario
+        raw = copy.deepcopy(MINIMAL_MARKET if path[0] == "coordination" and path[1:] else MINIMAL)
         raw["agents"][1]["weights"] = {"price": 50}  # a second, unrelated violation
         target = raw
         for key in path[:-1]:

@@ -361,7 +361,7 @@ def test_check_termination_matches_the_whole_trace_rules_randomized():
             action = "offer" if rng.random() < 0.9 else "withdraw"
             u = float(rng.choice(range(0, 101, 10)))
             trace.append(TraceRow(r, proposer, ladder_offer(u), 100.0 - u, u, action))
-        for window in (0, 2, 3, 4):
+        for window in (0, 1, 2, 3, 4):
             verdict = check_termination(trace, profile, window)
             assert verdict == whole_trace_check(trace, profile, window)
             verdicts.add(verdict)

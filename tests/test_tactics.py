@@ -3,11 +3,15 @@ import itertools
 import math
 import random
 import tracemalloc
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import negosim.tactics
 from negosim.domain import (
+    InvalidOfferError,
     InvalidProfileError,
     Issue,
     IssueOption,
@@ -36,6 +40,7 @@ from negosim.tactics import (
 )
 
 from conftest import ladder_profile
+from test_protocol import rerated
 
 
 class FixedTargetTactic(Tactic):
@@ -328,6 +333,90 @@ def test_offer_for_target_matches_the_sorted_scan():
             assert list(picked.choices.items()) == list(expected.choices.items()), (n, target)
             cases += 1
     assert cases > 2000
+
+
+def zero_free_utilities(profile):
+    return sorted({u for _, u in enumerate_offers(profile, zero_free=True)})
+
+
+def every_pick(profile):
+    """Each zero-free utility, its neighbours within 1e-9 and the extremes, as targets."""
+    targets = [-5.0, 150.0]
+    for u in zero_free_utilities(profile):
+        targets += [u, u - 1e-9, u + 1e-9]
+    return targets
+
+
+def test_table_utility_is_total_profit_bit_for_bit():
+    # served offers take their sort key; the other party's offers and equal
+    # copies are scored: every path must give the float total_profit gives
+    rng = random.Random(23)
+    checked = 0
+    for n in range(100):
+        profiles = (tie_heavy_profile(rng, f"agent{n}"),)
+        profiles += (rerated(rng, profiles[0], "partner"),)
+        tables = tuple(map(OfferTable, profiles))
+        for mine, theirs in ((0, 1), (1, 0)):
+            for target in every_pick(profiles[mine]):
+                served = tables[mine].offer(target)
+                copy = OfferVector(dict(served.choices))
+                for k in (mine, theirs):
+                    expected = total_profit(profiles[k], served).hex()
+                    for offer in (served, copy, served):  # the second lookup is remembered
+                        utility = tables[k].utility(offer)
+                        assert type(utility) is float
+                        assert utility.hex() == expected, (n, target, k)
+                        checked += 1
+    assert checked > 5000
+
+
+def test_a_repeated_pick_is_the_same_offer():
+    rng = random.Random(29)
+    for n in range(100):
+        profile = tie_heavy_profile(rng, f"agent{n}")
+        table = OfferTable(profile)
+        picks = {}
+        for target in every_pick(profile):
+            offer = table.offer(target)
+            assert table.offer(target) is offer
+            # targets within 1e-9 of one utility pick one position, so one object
+            assert picks.setdefault(tuple(offer.choices.items()), offer) is offer
+        assert len(picks) == len(zero_free_utilities(profile))
+
+
+def test_table_utility_of_a_malformed_offer_raises():
+    table = OfferTable(ladder_profile())
+    for choices in ({}, {"value": "p11"}, {"value": "p5", "other": "x"}):
+        for _ in range(2):  # a failed score is not remembered
+            with pytest.raises(InvalidOfferError):
+                table.utility(OfferVector(choices))
+
+
+def test_a_session_scores_each_offer_once_per_table(monkeypatch):
+    rng = random.Random(31)
+    scored, kept = Counter(), []
+
+    def counting_total_profit(profile, offer):
+        scored[profile.agent_id, id(offer)] += 1
+        kept.append(offer)  # no id is reused while the counts are read
+        return total_profit(profile, offer)
+
+    monkeypatch.setattr(negosim.tactics, "total_profit", counting_total_profit)
+    rows = shared = 0
+    for n in range(20):
+        a = replace(tie_heavy_profile(rng, "a"), deadline=rng.randint(10, 40))
+        b = rerated(rng, a, "b")
+        tactic = TimeDependentTactic(beta=rng.choice((0.5, 1.0, 2.0)))
+        scored.clear()
+        outcome, trace = run_session(a, b, tactic, tactic, max_rounds=60, opener=rng.choice("ab"))
+        assert scored and max(scored.values()) == 1, n
+        offers = [row.offer for row in trace if row.action == "offer"]
+        rows += len(offers)
+        shared += len(offers) - len({id(offer) for offer in offers})
+        for row in trace:
+            receiver = b if row.proposer == "a" else a
+            assert row.utility_receiver == total_profit(receiver, row.offer)
+    assert shared > rows / 2  # most picks repeat an earlier one and share its object
 
 
 def test_offer_for_target_keeps_nothing_per_profile():
