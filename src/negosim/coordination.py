@@ -3,8 +3,8 @@
 The buyer spawns one sub-buyer per supplier; each pair runs an independent
 bilateral session. The coordinator then picks a contract: as soon as
 possible (desperate), best overall (patient), or first-good-enough with a
-patient fallback (adapted). Results are always observed in
-(completion round, thread id) order, so coordination is reproducible.
+patient fallback (adapted). Ties go to the earlier completion round, then
+the lower thread id, so the order of the results does not matter.
 """
 
 from __future__ import annotations
@@ -68,18 +68,14 @@ class ContractChoice:
     utility: float
 
 
-def _stream(results: Sequence[SubBuyerResult]) -> list[SubBuyerResult]:
-    return sorted(results, key=lambda r: (r.completion_round, r.thread_id))
-
-
 def coordinate_desperate(results: Sequence[SubBuyerResult]) -> ContractChoice | None:
     """First success wins; among same-round successes, the highest utility."""
     if not results:
         raise PlanError("coordination needs at least one sub-buyer thread")
-    successes = [r for r in _stream(results) if r.succeeded]
+    successes = [r for r in results if r.succeeded]
     if not successes:
         return None
-    first_round = successes[0].completion_round
+    first_round = min(r.completion_round for r in successes)
     same_round = [r for r in successes if r.completion_round == first_round]
     best = min(same_round, key=lambda r: (-r.utility, r.thread_id))
     return ContractChoice(best.thread_id, best.supplier_id, first_round, best.utility)

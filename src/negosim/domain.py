@@ -39,6 +39,18 @@ def unknown_keys(raw: Mapping, known) -> list:
     return sorted((key for key in raw if key not in known), key=repr)
 
 
+def float_sum(values):
+    """``sum(values)`` as Python 3.11 adds floats: left to right, rounding each step.
+
+    From 3.12, ``sum()`` compensates float rounding, which changes the last
+    bits of some sums; outputs must be the same bytes on every interpreter.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def is_number(value) -> bool:
     """A real number that has a float value; a boolean is not a number, nor is
     an integer beyond the float range."""
@@ -153,7 +165,7 @@ def make_profile(
     A sum further away is a hard error; the intent of such input is unclear
     and silently rescaling it would hide real mistakes.
     """
-    total = sum(weights.values())
+    total = float_sum(weights.values())
     if abs(total - WEIGHT_TOTAL) > WEIGHT_SLACK:
         raise InvalidProfileError(
             f"profile {agent_id!r}: weights sum {total:g} is not {WEIGHT_TOTAL:g}"
@@ -202,7 +214,7 @@ def validate_profile(profile: PreferenceProfile) -> list[str]:
             )
         if issue.max_rating <= 0:
             violations.append(f"issue {issue.name!r} has no positively rated option")
-    weight_sum = sum(profile.weights.values())
+    weight_sum = float_sum(profile.weights.values())
     if abs(weight_sum - WEIGHT_TOTAL) > 1e-9:
         violations.append(f"weights sum {weight_sum:g} != {WEIGHT_TOTAL:g}")
     for name, weight in profile.weights.items():

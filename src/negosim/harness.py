@@ -12,7 +12,7 @@ import csv
 import io
 import re
 import stat
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -32,6 +32,7 @@ from .domain import (
     InvalidProfileError,
     NegotiationError,
     PreferenceProfile,
+    float_sum,
     is_int,
     is_number,
     make_profile,
@@ -45,6 +46,7 @@ from .protocol import (
     SessionOutcome,
     SessionTrace,
     run_session,
+    settings_problems,
 )
 from .tactics import ParameterError, Tactic, TimeDependentTactic, tactic_from_dict
 
@@ -162,13 +164,8 @@ def load_scenario(path: str | Path) -> Scenario:
     if mode not in MODES:
         violations.append(f"mode must be one of {MODES}, got {mode!r}")
     max_rounds = raw.get("max_rounds", DEFAULT_MAX_ROUNDS)
-    if not is_int(max_rounds) or max_rounds < 0:
-        violations.append(f"max_rounds must be a non-negative integer, got {max_rounds!r}")
     divergence_window = raw.get("divergence_window", DEFAULT_DIVERGENCE_WINDOW)
-    if not is_int(divergence_window) or not (divergence_window == 0 or divergence_window >= 2):
-        violations.append(
-            f"divergence_window must be 0 (off) or an integer >= 2, got {divergence_window!r}"
-        )
+    violations += settings_problems(max_rounds, divergence_window)
 
     alphabet: list[tuple[str, tuple[str, ...]]] = []
     issues_raw = raw.get("issues")
@@ -178,11 +175,20 @@ def load_scenario(path: str | Path) -> Scenario:
     for entry in issues_raw:
         name = entry.get("name") if isinstance(entry, dict) else None
         options = entry.get("options") if isinstance(entry, dict) else None
-        if not name or not isinstance(options, list) or not options:
+        if name is None or not isinstance(options, list) or not options:
             violations.append(f"issue entry {entry!r} needs a name and a non-empty option list")
             continue
+        if not _is_name(name):
+            violations.append(f"issue name must be a non-empty string, got {name!r}")
+            continue
         _check_keys(entry, _ISSUE_KEYS, f"issue {name!r}", violations)
-        alphabet.append((str(name), tuple(str(o) for o in options)))
+        bad_labels = [label for label in options if not _is_name(label)]
+        if bad_labels:
+            violations.append(
+                f"issue {name!r}: option labels must be non-empty strings, got {bad_labels!r}"
+            )
+            continue
+        alphabet.append((name, tuple(options)))
 
     agents: list[AgentSpec] = []
     agents_raw = raw.get("agents")
@@ -254,6 +260,10 @@ def load_scenario(path: str | Path) -> Scenario:
     )
 
 
+def _is_name(value) -> bool:
+    return isinstance(value, str) and value != ""
+
+
 def _check_keys(raw: dict, known: tuple[str, ...], where: str, violations: list[str]) -> None:
     unknown = unknown_keys(raw, known)
     if unknown:
@@ -273,7 +283,7 @@ def _load_agent(entry, alphabet, violations) -> AgentSpec | None:
         violations.append(f"agent entry {entry!r} needs an id")
         return None
     agent_id = entry["id"]
-    if not isinstance(agent_id, str) or not agent_id:
+    if not _is_name(agent_id):
         violations.append(f"agent id must be a non-empty string, got {agent_id!r}")
         return None
     _check_keys(entry, _AGENT_KEYS, f"agent {agent_id!r}", violations)
@@ -317,18 +327,21 @@ def _load_agent(entry, alphabet, violations) -> AgentSpec | None:
                 continue
             options.append(IssueOption(label=label, rating=float(rating)))
         issues.append(Issue(name=name, options=tuple(options)))
-    bad_weights = {k: v for k, v in weights.items() if not is_number(v)}
+    bad_weights = {k: v for k, v in weights.items() if not (isinstance(k, str) and is_number(v))}
     for name, value in bad_weights.items():
-        violations.append(
-            f"agent {agent_id!r}: weight of issue {name!r} must be a number, got {value!r}"
-        )
+        if not isinstance(name, str):
+            violations.append(f"agent {agent_id!r}: weights key {name!r} must be an issue name")
+        else:
+            violations.append(
+                f"agent {agent_id!r}: weight of issue {name!r} must be a number, got {value!r}"
+            )
     profile = None
     if not bad_weights:
         try:
             profile = make_profile(
                 agent_id=agent_id,
                 issues=issues,
-                weights={str(k): float(v) for k, v in weights.items()},
+                weights={k: float(v) for k, v in weights.items()},
                 deadline=deadline,
                 reservation_utility=None if reservation is None else float(reservation),
             )
@@ -368,15 +381,7 @@ class SummaryStats:
     breakdowns: int
 
     def to_dict(self) -> dict:
-        return {
-            "sessions": self.sessions,
-            "agreements": self.agreements,
-            "agreement_rate": self.agreement_rate,
-            "mean_rounds": self.mean_rounds,
-            "mean_utility": dict(sorted(self.mean_utility.items())),
-            "early_terminations": self.early_terminations,
-            "breakdowns": self.breakdowns,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -424,11 +429,8 @@ def _run_one_to_many(scenario: Scenario, index: int) -> SessionRecord:
         divergence_window=scenario.divergence_window,
     )
     if choice is not None:
-        decision_round = choice.round
-        utilities = {buyer.id: choice.utility}
-        winner = next(r for r in results if r.thread_id == choice.thread_id)
-        utilities[choice.supplier_id] = winner.outcome.utilities[choice.supplier_id]
-        outcome = SessionOutcome(kind="agreement", round=decision_round, utilities=utilities)
+        utilities = results[choice.thread_id].outcome.utilities
+        outcome = SessionOutcome(kind="agreement", round=choice.round, utilities=utilities)
     else:
         decision_round = max(r.completion_round for r in results)
         if all(r.outcome.kind == "early-termination" for r in results):
@@ -450,8 +452,8 @@ def _run_one_to_many(scenario: Scenario, index: int) -> SessionRecord:
 
 def run_batch(scenario: Scenario, n_sessions: int) -> BatchResult:
     """Run ``n_sessions`` deterministic sessions and aggregate the results."""
-    if n_sessions < 1:
-        raise NegotiationError(f"n_sessions must be >= 1, got {n_sessions}")
+    if not is_int(n_sessions) or n_sessions < 1:
+        raise NegotiationError(f"n_sessions must be an integer >= 1, got {n_sessions!r}")
     records = []
     for i in range(n_sessions):
         if scenario.mode == "bilateral":
@@ -469,7 +471,7 @@ def _aggregate(scenario: Scenario, records: Sequence[SessionRecord]) -> SummaryS
     mean_rounds = sum(r.outcome.round for r in records) / n
     mean_utility = {}
     for spec in scenario.agents:
-        total = sum(r.outcome.utilities.get(spec.id, 0.0) for r in records)
+        total = float_sum(r.outcome.utilities.get(spec.id, 0.0) for r in records)
         mean_utility[spec.id] = total / n
     return SummaryStats(
         sessions=n,
@@ -526,7 +528,7 @@ def _outcome_dict(record: SessionRecord) -> dict:
         "round": record.outcome.round,
         "party": record.outcome.party,
         "reason": record.outcome.reason,
-        "utilities": dict(sorted(record.outcome.utilities.items())),
+        "utilities": dict(record.outcome.utilities),
     }
     if record.contract is not None:
         out["contract"] = {

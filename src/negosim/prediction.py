@@ -337,7 +337,10 @@ def evaluate_fit(fit: RegressionFit, t: float) -> float:
     if fit.family == "power":
         if t == 0:
             return 0.0 if fit.b > 0 else (fit.a if fit.b == 0 else math.inf)
-        return fit.a * t**fit.b
+        try:
+            return fit.a * t**fit.b
+        except OverflowError:  # t^b is past the float range; a is 0 if exp(log a) underflowed
+            return math.inf if fit.a else 0.0
     return fit.a * t**2 + fit.b * t + fit.c
 
 
@@ -360,8 +363,14 @@ def estimate_crossing(
     if evaluate_fit(fit, 0.0) >= r:
         return 0.0
     if fit.family == "power":
-        # a > 0 for every power fit, so only a rising curve (b > 0) gets there
-        t_star = (r / fit.a) ** (1.0 / fit.b) if fit.b > 0 else None
+        # only a rising curve (b > 0) gets there, and a = 0 (exp(log a) underflowed)
+        # is 0 everywhere; a t* past the float range is past any deadline
+        t_star = None
+        if fit.a > 0 and fit.b > 0:
+            try:
+                t_star = (r / fit.a) ** (1.0 / fit.b)
+            except OverflowError:
+                pass
     else:
         # smallest positive root of g(t) = qa*t^2 + qb*t + qc, where g(0) = f(0) - r < 0
         if fit.family == "linear":
@@ -598,11 +607,6 @@ class PredictorState:
     @property
     def mode(self) -> str:
         return "warm-up" if len(self.columns) < self.config.warmup else "active"
-
-    @property
-    def observations(self) -> list[tuple[float, float]]:
-        """The recorded (time, utility) points, read back from the columns."""
-        return list(zip(self.columns.t.tolist(), self.columns.u.tolist()))
 
     def record(self, trace: "SessionTrace", profile: PreferenceProfile) -> None:
         """Append the opponent's offers that joined ``trace`` since the last call."""

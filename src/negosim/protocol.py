@@ -35,10 +35,6 @@ class SetupError(NegotiationError):
     """The two parties cannot negotiate (e.g. incompatible issue alphabets)."""
 
 
-class ProtocolViolationError(NegotiationError):
-    """:func:`respond` was given an offer that does not fit the profile's issues."""
-
-
 @dataclass(frozen=True)
 class TraceRow:
     round: int
@@ -126,15 +122,11 @@ def respond(
 
     Withdraw once past the deadline; accept only on strict utility dominance
     of the incoming offer over the planned counter; otherwise counteroffer.
+    A malformed offer raises :class:`~negosim.domain.InvalidOfferError`.
     """
     if state.round > profile.deadline:
         return Withdraw(party=profile.agent_id)
-    try:
-        incoming_value = total_profit(profile, incoming)
-        planned_value = total_profit(profile, planned_counter)
-    except InvalidOfferError as exc:
-        raise ProtocolViolationError(f"malformed offer: {exc}") from exc
-    if incoming_value > planned_value:
+    if total_profit(profile, incoming) > total_profit(profile, planned_counter):
         return Accept(offer=incoming)
     return Offer(counter=planned_counter)
 
@@ -177,6 +169,18 @@ def check_termination(
     return None
 
 
+def settings_problems(max_rounds, divergence_window) -> list[str]:
+    """Every problem with a session's ``max_rounds`` and ``divergence_window``."""
+    problems = []
+    if not is_int(max_rounds) or max_rounds < 0:
+        problems.append(f"max_rounds must be an integer >= 0, got {max_rounds!r}")
+    if not is_int(divergence_window) or not (divergence_window == 0 or divergence_window >= 2):
+        problems.append(
+            f"divergence_window must be 0 (off) or an integer >= 2, got {divergence_window!r}"
+        )
+    return problems
+
+
 def _check_alphabets(a: PreferenceProfile, b: PreferenceProfile) -> None:
     menu_a = {issue.name: set(issue.labels()) for issue in a.issues}
     menu_b = {issue.name: set(issue.labels()) for issue in b.issues}
@@ -205,10 +209,9 @@ def run_session(
     mapping ``{agent_id: config}``) arms per-agent behavior prediction.
     Check order on a responding turn: deadline withdrawal, threshold /
     divergence termination, predictor advice, then accept-or-counter.
-    ``max_rounds`` is an integer >= 0; ``divergence_window`` is 0 (the
-    divergence rule is off) or an integer >= 2. Each party's
-    :class:`~negosim.tactics.OfferTable` is built before round 0, so a
-    profile it rejects raises :class:`~negosim.domain.InvalidProfileError`
+    ``max_rounds`` and ``divergence_window`` must pass :func:`settings_problems`.
+    Each party's :class:`~negosim.tactics.OfferTable` is built before round 0,
+    so a profile it rejects raises :class:`~negosim.domain.InvalidProfileError`
     even when no round is played.
     """
     _check_alphabets(profile_a, profile_b)
@@ -219,10 +222,8 @@ def run_session(
         opener = ids[0]
     if opener not in ids:
         raise SetupError(f"opener {opener!r} is not one of the parties")
-    if not is_int(max_rounds) or max_rounds < 0:
-        raise SetupError(f"max_rounds must be an integer >= 0, got {max_rounds!r}")
-    if not is_int(divergence_window) or not (divergence_window == 0 or divergence_window >= 2):
-        raise SetupError(f"divergence_window must be 0 (off) or >= 2, got {divergence_window!r}")
+    for problem in settings_problems(max_rounds, divergence_window):
+        raise SetupError(problem)
 
     # per party, opener first: its offer table, its tactic and its predictor
     sides = []

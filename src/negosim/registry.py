@@ -95,7 +95,7 @@ class ServiceRegistry:
 
     def discover(self, query: DiscoveryQuery) -> list[ServiceRecord]:
         with self._lock:
-            live = sorted(self._records.values(), key=lambda r: r.registered_at)
+            live = list(self._records.values())  # dict order is registration order
         return [record for record in live if query.matches(record)]
 
     def deregister(self, handle: RegistrationHandle) -> None:
@@ -110,7 +110,7 @@ class ServiceRegistry:
     def snapshot(self) -> str:
         """Live records as YAML, in registration order, for inspection."""
         with self._lock:
-            live = sorted(self._records.values(), key=lambda r: r.registered_at)
+            live = list(self._records.values())
         data = [
             {
                 "seller_id": record.seller_id,

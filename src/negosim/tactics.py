@@ -21,6 +21,7 @@ from .domain import (
     NegotiationError,
     OfferVector,
     PreferenceProfile,
+    float_sum,
     is_int,
     is_number,
     reservation_utility,
@@ -62,10 +63,6 @@ def resource_alpha(r: float, k: float) -> float:
     if not 0 <= k <= 1:
         raise ParameterError(f"k must be in [0, 1], got {k:g}")
     return k + (1.0 - k) * math.exp(-r)
-
-
-def target_from_alpha(profile: PreferenceProfile, alpha: float) -> float:
-    return _concede(alpha, reservation_utility(profile))
 
 
 def _concede(alpha: float, reservation: float) -> float:
@@ -237,11 +234,8 @@ class ResourceDependentTactic(Tactic):
     def __post_init__(self) -> None:
         resource_alpha(0.0, self.k)  # rejects k outside [0, 1]
 
-    def resource_remaining(self, profile, round) -> float:
-        return max(profile.deadline - round, 0)
-
     def target(self, table, trace, round):
-        alpha = resource_alpha(self.resource_remaining(table.profile, round), self.k)
+        alpha = resource_alpha(max(table.profile.deadline - round, 0), self.k)
         return _concede(alpha, table.reservation)
 
 
@@ -265,11 +259,12 @@ class MixedTactic(Tactic):
         weights = [w for w, _ in self.components]
         if not weights or not all(w >= 0 for w in weights):
             raise ParameterError("mixture weights must be non-negative")
-        if abs(sum(weights) - 1.0) > 1e-9:
-            raise ParameterError(f"mixture weights must sum to 1, got {sum(weights):g}")
+        total = float_sum(weights)
+        if abs(total - 1.0) > 1e-9:
+            raise ParameterError(f"mixture weights must sum to 1, got {total:g}")
 
     def target(self, table, trace, round):
-        return sum(w * tactic.target(table, trace, round) for w, tactic in self.components)
+        return float_sum(w * tactic.target(table, trace, round) for w, tactic in self.components)
 
 
 # each family's parameters; a mixture part also has its ``weight``

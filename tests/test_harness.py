@@ -1,4 +1,6 @@
+import builtins
 import copy
+import hashlib
 import itertools
 import math
 import os
@@ -13,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import test_golden
 from negosim import cli, harness
 from negosim.cli import main
-from negosim.domain import enumerate_offers, total_profit
+from negosim.domain import NegotiationError, enumerate_offers, total_profit
 from negosim.harness import (
     ScenarioError,
     bundled_scenario,
@@ -183,6 +185,20 @@ class TestLoadScenario:
             (("agents", 0, "id"), None, "agent id must be a non-empty string, got None"),
             (("agents", 0, "id"), True, "agent id must be a non-empty string, got True"),
             (("agents", 0, "id"), "", "agent id must be a non-empty string, got ''"),
+            (("issues", 0, "name"), 5, "issue name must be a non-empty string, got 5"),
+            (("issues", 0, "name"), 0, "issue name must be a non-empty string, got 0"),
+            (("issues", 0, "name"), "", "issue name must be a non-empty string, got ''"),
+            (
+                ("issues", 0, "options"),
+                ["low", True, None],
+                "issue 'price': option labels must be non-empty strings, got [True, None]",
+            ),
+            (
+                ("issues", 0, "options"),
+                ["low", "mid", ""],
+                "issue 'price': option labels must be non-empty strings, got ['']",
+            ),
+            (("agents", 0, "weights", 5), 100, "agent 'a': weights key 5 must be an issue name"),
             (("max_round",), 3, "top level: unknown keys ['max_round']"),
             (("issues", 0, "option"), ["low"], "issue 'price': unknown keys ['option']"),
             (("agents", 0, "deadlin"), 5, "agent 'a': unknown keys ['deadlin']"),
@@ -252,6 +268,12 @@ class TestLoadScenario:
             "id-null",
             "id-bool",
             "id-empty",
+            "issue-name-int",
+            "issue-name-zero",
+            "issue-name-empty",
+            "option-labels-bool-null",
+            "option-label-empty",
+            "weights-key-int",
             "top-level-unknown-key",
             "issue-unknown-key",
             "agent-unknown-key",
@@ -352,16 +374,93 @@ class TestRunBatch:
         assert stats.agreements + stats.early_terminations + stats.breakdowns == stats.sessions
 
     def test_zero_sessions_rejected(self, aircraft_scenario):
-        from negosim.domain import NegotiationError
-
         with pytest.raises(NegotiationError):
             run_batch(aircraft_scenario, 0)
+
+    @pytest.mark.parametrize("n_sessions", [True, 2.5, 1.0, "3", None])
+    def test_session_count_must_be_an_integer(self, aircraft_scenario, n_sessions):
+        # True would run 1 session; the others would end in a TypeError
+        with pytest.raises(NegotiationError, match="n_sessions"):
+            run_batch(aircraft_scenario, n_sessions)
 
     def test_one_to_many_batch_runs(self, market_scenario):
         result = run_batch(market_scenario, 3)
         assert result.stats.sessions == 3
         # each record carries one trace per supplier thread
         assert all(len(r.traces) == 3 for r in result.records)
+
+
+_BUILTIN_SUM = sum
+
+
+def compensated_sum(values, start=0):
+    """``sum()`` as Python 3.12 and later add floats: Neumaier-compensated, as in
+    CPython's ``builtin_sum_impl``. Any other sum is left to the builtin."""
+    values = list(values)
+    if not values or not all(type(v) is float for v in values):
+        return _BUILTIN_SUM(values, start)
+    total, compensation = float(start), 0.0
+    for value in values:
+        step = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - step) + value
+        else:
+            compensation += (value - step) + total
+        total = step
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+def uneven_weights_scenario(path):
+    """aircraft.scenario with weights summing to 99.9, which the loader normalizes."""
+    raw = yaml.safe_load(bundled_scenario("aircraft.scenario").read_text())
+    for agent in raw["agents"]:
+        agent["weights"] = {"price": 33.4, "quantity": 33.3, "warranty": 33.2}
+    path.write_text(yaml.safe_dump(raw))
+    return path
+
+
+# output digests recorded on Python 3.11; each case's bytes change if a sum in the
+# program is left to a compensating sum(): a 10-session mean utility, and weights
+# normalized by their sum
+SUM_SENSITIVE = {
+    "aircraft-10": (
+        lambda tmp: bundled_scenario("aircraft.scenario"),
+        10,
+        "7343f9cca032158e1213f57d7579de84199b547bc67ab92d0261afb8009ee31f",
+    ),
+    "aircraft_market-10": (
+        lambda tmp: bundled_scenario("aircraft_market.scenario"),
+        10,
+        "b2fae7d2e60096a5e6cc22c4456e02e0f0f41cc538547ee1b0a12a2d5c78fc81",
+    ),
+    "aircraft-uneven-weights-3": (
+        lambda tmp: uneven_weights_scenario(tmp / "uneven.scenario"),
+        3,
+        "93fbe80b6a46efb2bb71d7e18fb468d4b6fde30b428fb4c1477d2ae939ea367a",
+    ),
+}
+
+
+def test_compensated_sum_is_the_3_12_sum():
+    # the example of Python 3.12's "What's New": sum() of ten 0.1s is exactly 1.0
+    assert compensated_sum([0.1] * 10) == 1.0
+    assert compensated_sum([1, 2]) == 3
+
+
+@pytest.mark.filterwarnings("ignore:profile")
+@pytest.mark.parametrize("summer", ["builtin", "compensated"])
+@pytest.mark.parametrize("case", sorted(SUM_SENSITIVE))
+def test_outputs_do_not_depend_on_the_interpreters_sum(case, summer, tmp_path, monkeypatch):
+    if summer == "compensated":
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+    scenario_path, n_sessions, expected = SUM_SENSITIVE[case]
+    scenario = load_scenario(scenario_path(tmp_path))
+    digest = hashlib.sha256()
+    for path in write_outputs(scenario, run_batch(scenario, n_sessions), tmp_path / "out"):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == expected
 
 
 class TestComparePrediction:

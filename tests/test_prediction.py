@@ -208,6 +208,15 @@ class TestPredictUtility:
         with pytest.raises(ValueError):
             predict_utility(fit, -1.0)
 
+    def test_power_curve_past_the_float_range(self):
+        # t^b overflows: the curve is +inf there, or 0 if exp(log a) underflowed to a = 0
+        steep = RegressionFit("power", a=1.0, b=1000.0, sse=0.0)
+        assert evaluate_fit(steep, 3.0) == math.inf
+        assert predict_utility(steep, 3.0) == 100.0
+        vanished = fit_regression(series((2.0, 1e-320), (4.0, 100.0)), "power")
+        assert vanished.a == 0.0
+        assert predict_utility(vanished, 3.0) == 0.0
+
 
 class TestEstimateCrossing:
     def test_rising_line_crosses(self):
@@ -240,6 +249,12 @@ class TestEstimateCrossing:
     def test_quadratic_never_crossing_is_none(self):
         fit = fit_regression(series((0, 30), (1, 28), (2, 22), (3, 12)), "quadratic")
         assert estimate_crossing(fit, 80.0, 10.0) is None
+
+    def test_power_curve_with_underflowed_intercept_never_crosses(self):
+        # exp(log a) underflows to a = 0: the curve is 0 everywhere
+        fit = fit_regression(series((2.0, 1e-320), (4.0, 100.0)), "power")
+        assert fit.a == 0.0
+        assert estimate_crossing(fit, 10.0, 5.0) is None
 
 
 def scan_crossing(fit, reservation, deadline, steps=2**16):
@@ -408,6 +423,16 @@ class TestAdvise:
         assert advice.t_star == pytest.approx(6.0)
         assert state.mode == "active"
 
+    def test_crossing_past_the_float_range_advises_termination(self):
+        # power fit u = 30 t^0.001 (t = round / 40) reaches 90 at t = 3^1000, past any float
+        profile = ladder_profile(deadline=40, reservation=90.0)
+        rounds = list(range(1, 20, 2))
+        trace = incoming_trace(profile, [30.0 * (r / 40) ** 0.001 for r in rounds], rounds=rounds)
+        state = self.state()
+        advice = advise(state, trace, profile)
+        assert (state.fit.family, state.fit.b) == ("power", pytest.approx(0.001))
+        assert advice.kind == "terminate-unprofitable"
+
     def test_flat_low_offers_advise_termination(self):
         profile = ladder_profile(deadline=10, reservation=80.0)
         trace = incoming_trace(profile, [30.0, 30.0, 30.0, 30.0, 30.0], rounds=[0, 2, 4, 6, 8])
@@ -433,7 +458,8 @@ class TestAdvise:
         trace = incoming_trace(profile, [10.0, 20.0], rounds=[0, 2])
         state = self.state()
         advise(state, trace, profile)
-        assert state.observations == [(0.0, 10.0), (0.2, 20.0)]
+        assert state.columns.t.tolist() == [0.0, 0.2]
+        assert state.columns.u.tolist() == [10.0, 20.0]
 
 
 def rebuilt_advice(rows, profile, warmup, last_fit):

@@ -35,7 +35,6 @@ from negosim.tactics import (
     offer_for_target,
     resource_alpha,
     tactic_from_dict,
-    target_from_alpha,
     time_alpha,
 )
 
@@ -86,9 +85,8 @@ class TestTimeDependent:
         alpha = time_alpha(5, 10, k=0.0, beta=1.0)
         assert alpha == 0.5
         reservation = reservation_utility(profile)
-        assert target_from_alpha(profile, alpha) == pytest.approx(
-            (100.0 + reservation) / 2
-        )
+        target = TimeDependentTactic().target(OfferTable(profile), SessionTrace(), 5)
+        assert target == pytest.approx((100.0 + reservation) / 2)
 
     def test_start_returns_top_offer(self):
         profile = ladder_profile()
@@ -116,9 +114,8 @@ class TestTimeDependent:
 
     def test_affine_target_for_linear_conceder(self):
         profile = ladder_profile()
-        targets = [
-            target_from_alpha(profile, time_alpha(t, 10, 0.0, 1.0)) for t in (2, 5, 8)
-        ]
+        table = OfferTable(profile)
+        targets = [TimeDependentTactic().target(table, SessionTrace(), t) for t in (2, 5, 8)]
         assert targets[1] - targets[0] == pytest.approx(targets[2] - targets[1])
 
 
