@@ -10,7 +10,7 @@ import click
 
 from .domain import NegotiationError
 from .harness import (
-    BatchResult,
+    _run_bilateral,
     _write_new,
     bundled_scenario,
     compare_prediction,
@@ -127,16 +127,7 @@ def registry_demo() -> None:
         click.echo(f"  #{record.registered_at} {record.seller_id}")
     buyer = scenario.agent(scenario.buyer_id)
     seller = scenario.agent(records[0].seller_id)
-    from .protocol import run_session
-
-    outcome, trace = run_session(
-        buyer.profile,
-        seller.profile,
-        buyer.tactic,
-        seller.tactic,
-        max_rounds=scenario.max_rounds,
-        opener=buyer.id,
-    )
+    outcome = _run_bilateral(scenario, 0, buyer, seller).outcome
     click.echo(
         f"session {buyer.id} vs {seller.id}: {outcome.kind} at round {outcome.round}"
     )

@@ -103,8 +103,6 @@ def coordinate_adapted(
     """Take the first success scoring at least theta; otherwise act patient."""
     if theta < 0:
         raise PlanError(f"theta must be >= 0, got {theta:g}")
-    if not results:
-        raise PlanError("coordination needs at least one sub-buyer thread")
     qualifying = [r for r in results if r.succeeded and r.utility >= theta]
     if qualifying:
         return coordinate_desperate(qualifying)
@@ -161,8 +159,8 @@ def run_one_to_many(
         )
         traces.append(trace)
     choice = coordinate(plan, results)
-    if choice is not None and plan.strategy != "patient":
+    if choice is not None:  # the winner, and every thread under patient, is done by then
         for i, result in enumerate(results):
-            if result.thread_id != choice.thread_id and result.completion_round > choice.round:
+            if result.completion_round > choice.round:
                 results[i] = replace(result, cancelled_at=choice.round)
     return choice, results, traces

@@ -189,6 +189,8 @@ def load_scenario(path: str | Path) -> Scenario:
             )
             continue
         alphabet.append((name, tuple(options)))
+    # every name the file lists, so a malformed issue entry is reported once
+    declared = [entry.get("name") for entry in issues_raw if isinstance(entry, dict)]
 
     agents: list[AgentSpec] = []
     agents_raw = raw.get("agents")
@@ -196,7 +198,7 @@ def load_scenario(path: str | Path) -> Scenario:
         violations.append("agents: a non-empty list is required")
         agents_raw = []
     for entry in agents_raw:
-        spec = _load_agent(entry, alphabet, violations)
+        spec = _load_agent(entry, alphabet, declared, violations)
         if spec is not None:
             agents.append(spec)
     ids = [spec.id for spec in agents]
@@ -278,7 +280,7 @@ def _mapping(entry: dict, key: str, agent_id: str, violations: list[str]) -> dic
     return {}
 
 
-def _load_agent(entry, alphabet, violations) -> AgentSpec | None:
+def _load_agent(entry, alphabet, declared, violations) -> AgentSpec | None:
     if not isinstance(entry, dict) or "id" not in entry:
         violations.append(f"agent entry {entry!r} needs an id")
         return None
@@ -288,6 +290,9 @@ def _load_agent(entry, alphabet, violations) -> AgentSpec | None:
         return None
     _check_keys(entry, _AGENT_KEYS, f"agent {agent_id!r}", violations)
     ratings = _mapping(entry, "ratings", agent_id, violations)
+    undeclared = [name for name in ratings if name not in declared]
+    if undeclared:
+        violations.append(f"agent {agent_id!r}: ratings for undeclared issues {undeclared}")
     weights = _mapping(entry, "weights", agent_id, violations)
     deadline = entry.get("deadline", 0)
     if not is_int(deadline):
@@ -399,8 +404,7 @@ class BatchResult:
     records: tuple[SessionRecord, ...]
 
 
-def _run_bilateral(scenario: Scenario, index: int) -> SessionRecord:
-    a, b = scenario.agents
+def _run_bilateral(scenario: Scenario, index: int, a: AgentSpec, b: AgentSpec) -> SessionRecord:
     outcome, trace = run_session(
         a.profile,
         b.profile,
@@ -457,7 +461,7 @@ def run_batch(scenario: Scenario, n_sessions: int) -> BatchResult:
     records = []
     for i in range(n_sessions):
         if scenario.mode == "bilateral":
-            records.append(_run_bilateral(scenario, i))
+            records.append(_run_bilateral(scenario, i, *scenario.agents))
         else:
             records.append(_run_one_to_many(scenario, i))
     return BatchResult(stats=_aggregate(scenario, records), records=tuple(records))

@@ -9,7 +9,7 @@ weighted inputs is available as a trainable next-offer-utility predictor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -56,25 +56,16 @@ class ObservationSeries:
     """(time, utility) pairs; time strictly increasing, utility in [0, 100]."""
 
     points: tuple[tuple[float, float], ...]
+    columns: _Columns = field(init=False, repr=False, compare=False)  # what the fits read
 
     def __post_init__(self) -> None:
-        _check_points(self.points)
+        columns = _Columns(self.points)
+        if columns.problem is not None:
+            raise DataError(columns.problem)
+        object.__setattr__(self, "columns", columns)
 
     def __len__(self) -> int:
         return len(self.points)
-
-
-def _check_points(points, last_t: float | None = None) -> None:
-    """Raise :class:`DataError` unless the times are finite and strictly
-    increase, starting after ``last_t``, and every utility lies in [0, 100]."""
-    for t, u in points:
-        if not math.isfinite(t):
-            raise DataError("observation times must be finite")
-        if last_t is not None and t <= last_t:
-            raise DataError("observation times must be strictly increasing")
-        if not 0 <= u <= 100:
-            raise DataError("observed utilities must lie in [0, 100]")
-        last_t = t
 
 
 @dataclass(frozen=True)
@@ -111,11 +102,15 @@ class _Columns:
     ``sums`` holds the running sums (Σt, Σt², Σt³, Σt⁴, Σu, Σtu, Σt²u, Σu²)
     and, while the points are positive, ``log_sums`` holds (Σx, Σx², Σy,
     Σxy, Σy²) for x = log t and y = log u; :func:`_approximate_sse` reads them.
+    ``problem`` is None while every stored point is valid, else the first
+    series rule a point broke; each point is checked as it is stored.
     """
 
     def __init__(self, points=()):
         self.n = 0
         self.positive = True
+        self.problem: str | None = None
+        self.latest = -math.inf  # the last point's time
         self.sums = (0.0,) * 8
         self.log_sums = (0.0,) * 5
         self._logged = 0  # columns whose log rows are filled in
@@ -137,10 +132,18 @@ class _Columns:
             grown = self._allocate(capacity)
             grown[:, :lo] = self._buf[:, :lo]
             self._buf = grown
-        buf, positive = self._buf, self.positive
+        buf, positive, problem, latest = self._buf, self.positive, self.problem, self.latest
         s1, s2, s3, s4, su, stu, st2u, suu = self.sums
         x1, x2, y1, xy, y2 = self.log_sums
         for i, (t, u) in enumerate(points, lo):
+            if problem is None:
+                if not math.isfinite(t):
+                    problem = "observation times must be finite"
+                elif t <= latest:
+                    problem = "observation times must be strictly increasing"
+                elif not 0 <= u <= 100:
+                    problem = "observed utilities must lie in [0, 100]"
+            latest = t
             t2 = t * t  # numpy's t**2, bit for bit
             buf[_T, i], buf[_T2, i], buf[_U, i] = t, t2, u
             t, t2, u = float(t), float(t2), float(u)  # Python ints would not overflow to inf
@@ -152,7 +155,7 @@ class _Columns:
                 x1, x2, y1, xy, y2 = x1 + x, x2 + x * x, y1 + y, xy + x * y, y2 + y * y
         self.sums = s1, s2, s3, s4, su, stu, st2u, suu
         self.log_sums = x1, x2, y1, xy, y2
-        self.positive = positive
+        self.positive, self.problem, self.latest = positive, problem, latest
         self.n = hi
 
     def _logs(self) -> np.ndarray:
@@ -202,7 +205,7 @@ def fit_regression(series: ObservationSeries, family: str) -> RegressionFit:
             f"{family} fit needs >= {_MIN_POINTS[family]} points, got {n}"
         )
     with np.errstate(all="ignore"):
-        return _fit(family, _Columns(series.points))
+        return _fit(family, series.columns)
 
 
 def _fit(family: str, cols: _Columns) -> RegressionFit:
@@ -323,7 +326,7 @@ def select_model(series: ObservationSeries | _Columns) -> RegressionFit:
     """
     if len(series) < _MIN_POINTS["quadratic"]:
         raise DegenerateDataError("model selection needs at least 3 points")
-    cols = series if isinstance(series, _Columns) else _Columns(series.points)
+    cols = series if isinstance(series, _Columns) else series.columns
     fits = [_fit(f, cols) for f in _candidates(cols)]  # simplest family first
     # a power fit whose a underflows to 0 can give a NaN SSE, which never wins
     best_sse = min([fit.sse for fit in fits if not math.isnan(fit.sse)])
@@ -341,13 +344,14 @@ def evaluate_fit(fit: RegressionFit, t: float) -> float:
             return fit.a * t**fit.b
         except OverflowError:  # t^b is past the float range; a is 0 if exp(log a) underflowed
             return math.inf if fit.a else 0.0
-    return fit.a * t**2 + fit.b * t + fit.c
+    # Horner's form: a value past the float range is ±inf by the sign of a*t + b, never inf - inf
+    return (fit.a * t + fit.b) * t + fit.c
 
 
 def predict_utility(fit: RegressionFit, t: float) -> float:
     """Fitted utility at t, clamped to [0, 100] (raw value via evaluate_fit)."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t:g}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t:g}")
     return min(max(evaluate_fit(fit, t), 0.0), 100.0)
 
 
@@ -591,18 +595,16 @@ class PredictorState:
     """Per-agent, per-session prediction state: warm-up observation then advice.
 
     The state follows one session's trace: each call of :func:`advise`
-    records only the rows added since the previous call, checks each new
-    observation once and appends it once to the fit columns.
+    records only the rows added since the previous call and appends each new
+    observation once to the fit columns, which check it as they store it.
     """
 
     def __init__(self, config: PredictorConfig):
         self.config = config
         self.columns = _Columns()
         self.fit: RegressionFit | None = None
-        self.valid = True  # False for good once an observation breaks the series rules
         self.reservation: float | None = None  # the agent's, looked up on first use
         self._rows_seen = 0
-        self._last_t: float | None = None
 
     @property
     def mode(self) -> str:
@@ -616,14 +618,6 @@ class PredictorState:
             if row.proposer != profile.agent_id and row.action == "offer"
         ]
         self._rows_seen = len(trace)
-        if not new:
-            return
-        if self.valid:
-            try:
-                _check_points(new, self._last_t)
-            except DataError:
-                self.valid = False
-        self._last_t = new[-1][0]
         self.columns.extend(new)
 
 
@@ -639,7 +633,7 @@ def advise(state: PredictorState, trace: "SessionTrace", profile: PreferenceProf
     state.record(trace, profile)
     if state.mode == "warm-up":
         return Advice(kind="none")
-    if not state.valid:
+    if state.columns.problem is not None:
         return Advice(kind="continue")
     try:
         state.fit = select_model(state.columns)

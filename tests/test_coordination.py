@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from negosim.coordination import (
@@ -11,6 +13,7 @@ from negosim.coordination import (
     coordinate_patient,
     run_one_to_many,
 )
+from negosim.domain import Issue, IssueOption, make_profile
 from negosim.protocol import SessionOutcome
 from negosim.tactics import TimeDependentTactic
 
@@ -104,6 +107,10 @@ class TestPatient:
         results = [result(0, 2, None, kind="withdrawal")]
         assert coordinate_patient(results) is None
 
+    def test_empty_rejected(self):
+        with pytest.raises(PlanError, match="^coordination needs at least one sub-buyer thread$"):
+            coordinate_patient([])
+
 
 class TestAdapted:
     def test_first_good_enough_wins(self):
@@ -133,6 +140,10 @@ class TestAdapted:
     def test_negative_theta_rejected(self):
         with pytest.raises(PlanError):
             coordinate_adapted([result(0, 3, 75.0)], theta=-1.0)
+
+    def test_empty_rejected(self):
+        with pytest.raises(PlanError, match="^coordination needs at least one sub-buyer thread$"):
+            coordinate_adapted([], 10.0)
 
 
 class TestCoordinateDispatch:
@@ -203,6 +214,50 @@ class TestRunOneToMany:
                 assert res.cancelled_at is None
             elif res.completion_round > choice.round:
                 assert res.cancelled_at == choice.round
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            CoordinationPlan("desperate"),
+            CoordinationPlan("patient"),
+            CoordinationPlan("adapted", theta=60.0),
+        ],
+        ids=["desperate", "patient", "adapted"],
+    )
+    def test_cancelled_exactly_when_done_after_the_commit(self, plan):
+        rng = random.Random(15)
+
+        def reservation():
+            return rng.choice((None, float(rng.randint(0, 4) * 10)))
+
+        def tactic():
+            return TimeDependentTactic(k=rng.choice((0.0, 0.2)), beta=rng.choice((0.3, 1.0, 3.0)))
+
+        # suppliers rate the buyer's ladder in reverse
+        options = tuple(IssueOption(f"p{i}", 100.0 - 10.0 * i) for i in range(11))
+        late = 0
+        for _ in range(60):
+            buyer = ladder_profile("buyer", rng.randint(3, 30), reservation())
+            suppliers = [
+                (
+                    make_profile(
+                        f"supplier_{i}", [Issue("value", options)], {"value": 100.0},
+                        rng.randint(3, 30), reservation(),
+                    ),
+                    tactic(),
+                )
+                for i in range(rng.randint(1, 4))
+            ]
+            choice, results, _ = run_one_to_many(
+                buyer, tactic(), suppliers, plan,
+                max_rounds=rng.randint(5, 60), divergence_window=rng.choice((0, 3)),
+            )
+            for res in results:
+                after = choice is not None and res.completion_round > choice.round
+                assert res.cancelled_at == (choice.round if after else None)
+                late += after
+        # a patient commit round is the last completion round
+        assert late == 0 if plan.strategy == "patient" else late > 5
 
     def test_patient_never_cancels(self):
         buyer = ladder_profile("buyer", deadline=20)

@@ -225,6 +225,11 @@ class TestLoadScenario:
                 {"buyer": "b", "suppliers": ["a"], "strategy": "adapted", "theta": "not-a-number"},
                 "coordination: only one-to-many mode reads this section",
             ),
+            (
+                ("agents", 0, "ratings", "colour"),
+                {"red": 5, "blue": 0},
+                "agent 'a': ratings for undeclared issues ['colour']",
+            ),
         ],
         ids=[
             "seed-bool",
@@ -284,6 +289,7 @@ class TestLoadScenario:
             "mixture-part-unknown-field",
             "coordination-unknown-key",
             "coordination-in-bilateral-mode",
+            "ratings-undeclared-issue",
         ],
     )
     def test_bad_field_is_a_listed_violation(self, tmp_path, path, value, named):
@@ -303,6 +309,16 @@ class TestLoadScenario:
         assert isinstance(result.exception, SystemExit)  # a ClickException, not a crash
         assert result.exit_code != 0
         assert "Traceback" not in result.output
+
+    def test_ratings_of_a_malformed_issue_are_not_reported_again(self, tmp_path):
+        raw = copy.deepcopy(MINIMAL)
+        raw["issues"].append({"name": "colour", "options": []})
+        raw["agents"][0]["ratings"]["colour"] = {"red": 5, "blue": 0}
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(write_scenario(tmp_path, raw))
+        assert [v for v in exc.value.violations if "colour" in v] == [
+            "issue entry {'name': 'colour', 'options': []} needs a name and a non-empty option list"
+        ]
 
     def test_int_buyer_id_is_reported_as_a_bad_id(self, tmp_path):
         raw = copy.deepcopy(MINIMAL_MARKET)
@@ -570,6 +586,18 @@ class TestCli:
         result = runner.invoke(main, ["registry-demo"])
         assert result.exit_code == 0
         assert "discovered 3 sellers" in result.output
+
+    def test_registry_demo_uses_the_scenario_settings(self, tmp_path, monkeypatch):
+        # the demo session runs as every session does: with the buyer's predictor armed
+        raw = yaml.safe_load(bundled_scenario("aircraft_market.scenario").read_text())
+        assert raw["agents"][0]["id"] == "company_b"
+        raw["agents"][0]["predictor"] = {"enabled": True, "warmup": 3}
+        raw["agents"][0]["reservation_utility"] = 95
+        path = write_scenario(tmp_path, raw)
+        monkeypatch.setattr(cli, "bundled_scenario", lambda name: path)
+        result = CliRunner().invoke(main, ["registry-demo"])
+        assert result.exit_code == 0, result.output
+        assert "session company_b vs seller_1: early-termination at round 6\n" in result.output
 
     def test_missing_scenario_exits_nonzero(self):
         runner = CliRunner()

@@ -69,12 +69,26 @@ def incoming_trace(profile, utilities, rounds=None):
 
 class TestObservationSeries:
     def test_non_increasing_times_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^observation times must be strictly increasing$"):
             series((0.0, 10.0), (0.0, 20.0))
 
     def test_out_of_range_utility_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"^observed utilities must lie in \[0, 100\]$"):
             series((0.0, 10.0), (1.0, 120.0))
+
+    @pytest.mark.parametrize(
+        "points, rule",
+        [
+            # one point breaks two rules: time is checked before utility
+            (((1.0, 10.0), (0.5, 120.0)), "strictly increasing"),
+            (((math.nan, 120.0),), "finite"),
+            # two points break one rule each: the earlier point's rule is reported
+            (((0.0, -1.0), (0.0, 20.0)), "utilities"),
+        ],
+    )
+    def test_first_broken_rule_is_reported(self, points, rule):
+        with pytest.raises(DataError, match=rule):
+            series(*points)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("at", [0, 1, 2])
@@ -207,6 +221,22 @@ class TestPredictUtility:
         fit = fit_regression(series((0, 10), (1, 12)), "linear")
         with pytest.raises(ValueError):
             predict_utility(fit, -1.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, t):
+        fit = fit_regression(series((0, 10), (1, 12)), "linear")
+        with pytest.raises(ValueError):
+            predict_utility(fit, t)
+
+    def test_quadratic_curve_past_the_float_range(self):
+        # t^2 overflows: the curve is +-inf by the term that dominates, never inf - inf
+        assert predict_utility(RegressionFit("quadratic", a=1.0, b=0.0, sse=0.0), 1e200) == 100.0
+        steep = RegressionFit("quadratic", a=1e300, b=-1e300, sse=0.0)
+        assert evaluate_fit(steep, 1e10) == math.inf
+        assert predict_utility(steep, 1e10) == 100.0
+        sinking = RegressionFit("quadratic", a=1.0, b=-1e300, sse=0.0, c=50.0)
+        assert evaluate_fit(sinking, 1e200) == -math.inf  # b*t outweighs a*t^2 there
+        assert predict_utility(sinking, 1e200) == 0.0
 
     def test_power_curve_past_the_float_range(self):
         # t^b overflows: the curve is +inf there, or 0 if exp(log a) underflowed to a = 0
@@ -630,7 +660,7 @@ def test_advise_in_sessions_matches_the_one_shot_fit_randomized(monkeypatch):
             expected, fit = rebuilt_advice(rows[:stop], a, warmup, fit)
             assert advise(state, rows[:stop], a) == expected
             assert state.fit == fit
-            if stop > i and not state.valid and state.mode == "active":
+            if stop > i and state.columns.problem is not None and state.mode == "active":
                 invalid_calls += 1
     assert calls > 500 and invalid_calls > 20
     assert kinds == {"none", "continue", "terminate-unprofitable", "acceptance-forecast"}
