@@ -11,6 +11,8 @@ from typing import Mapping, Sequence
 
 WEIGHT_TOTAL = 100.0
 WEIGHT_SLACK = 1.0  # auto-normalize when |sum - 100| <= slack, hard error beyond
+# ratings above this could overflow weight * rating; the 2 covers the rounding of normalized weights
+MAX_RATING = sys.float_info.max / (2 * WEIGHT_TOTAL)
 
 
 class NegotiationError(Exception):
@@ -187,8 +189,12 @@ def make_profile(
     )
 
 
-def validate_profile(profile: PreferenceProfile) -> list[str]:
-    """Check every profile invariant; return all violations, not just the first."""
+def validate_profile(profile: PreferenceProfile, check_weights: bool = True) -> list[str]:
+    """Check every profile invariant; return all violations, not just the first.
+
+    ``check_weights=False`` leaves out the weight rules, for a caller that
+    has already reported why the weights could not be read.
+    """
     violations: list[str] = []
     if not profile.issues:
         violations.append("profile has no issues")
@@ -207,6 +213,8 @@ def validate_profile(profile: PreferenceProfile) -> list[str]:
             violations.append(f"issue {issue.name!r} has a negative option rating")
         if not all(math.isfinite(opt.rating) for opt in issue.options):
             violations.append(f"issue {issue.name!r} has a non-finite option rating")
+        if any(MAX_RATING < opt.rating < math.inf for opt in issue.options):
+            violations.append(f"issue {issue.name!r} has an option rating above {MAX_RATING:g}")
         zero_count = sum(1 for opt in issue.options if opt.rating == 0)
         if zero_count != 1:
             violations.append(
@@ -214,19 +222,20 @@ def validate_profile(profile: PreferenceProfile) -> list[str]:
             )
         if issue.max_rating <= 0:
             violations.append(f"issue {issue.name!r} has no positively rated option")
-    weight_sum = float_sum(profile.weights.values())
-    if abs(weight_sum - WEIGHT_TOTAL) > 1e-9:
-        violations.append(f"weights sum {weight_sum:g} != {WEIGHT_TOTAL:g}")
-    for name, weight in profile.weights.items():
-        if name not in seen:
-            violations.append(f"weighted issue {name!r} not present in issue list")
-        if weight < 0:
-            violations.append(f"issue {name!r} has negative weight {weight:g}")
-        if not math.isfinite(weight):
-            violations.append(f"issue {name!r} has non-finite weight {weight:g}")
-    for issue in profile.issues:
-        if issue.name not in profile.weights:
-            violations.append(f"issue {issue.name!r} has no weight")
+    if check_weights:
+        weight_sum = float_sum(profile.weights.values())
+        if abs(weight_sum - WEIGHT_TOTAL) > 1e-9:
+            violations.append(f"weights sum {weight_sum:g} != {WEIGHT_TOTAL:g}")
+        for name, weight in profile.weights.items():
+            if name not in seen:
+                violations.append(f"weighted issue {name!r} not present in issue list")
+            if weight < 0:
+                violations.append(f"issue {name!r} has negative weight {weight:g}")
+            if not math.isfinite(weight):
+                violations.append(f"issue {name!r} has non-finite weight {weight:g}")
+        for issue in profile.issues:
+            if issue.name not in profile.weights:
+                violations.append(f"issue {issue.name!r} has no weight")
     if profile.deadline <= 0:
         violations.append(f"deadline {profile.deadline} must be > 0")
     reservation = profile.reservation_utility

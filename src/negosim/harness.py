@@ -352,9 +352,10 @@ def _load_agent(entry, alphabet, declared, violations) -> AgentSpec | None:
             )
         except InvalidProfileError as exc:
             violations.append(str(exc))
-    if profile is not None:
-        for problem in validate_profile(profile):
-            violations.append(f"agent {agent_id!r}: {problem}")
+    # weights that cannot build the profile are listed above; the rest is still checked
+    checked = profile or PreferenceProfile(agent_id, tuple(issues), {}, deadline, reservation)
+    for problem in validate_profile(checked, check_weights=profile is not None):
+        violations.append(f"agent {agent_id!r}: {problem}")
     try:
         tactic = tactic_from_dict(entry.get("tactic", {"family": "time-dependent"}))
     except ParameterError as exc:
@@ -436,11 +437,10 @@ def _run_one_to_many(scenario: Scenario, index: int) -> SessionRecord:
         utilities = results[choice.thread_id].outcome.utilities
         outcome = SessionOutcome(kind="agreement", round=choice.round, utilities=utilities)
     else:
-        decision_round = max(r.completion_round for r in results)
-        if all(r.outcome.kind == "early-termination" for r in results):
-            outcome = SessionOutcome(kind="early-termination", round=decision_round)
-        else:
-            outcome = SessionOutcome(kind="withdrawal", round=decision_round)
+        # how every thread ended, if they all ended the same way
+        kinds = {r.outcome.kind for r in results}
+        kind = kinds.pop() if len(kinds) == 1 else "withdrawal"
+        outcome = SessionOutcome(kind=kind, round=max(r.completion_round for r in results))
     named = tuple(
         (f"session_{index:04d}_thread_{r.thread_id}", trace)
         for r, trace in zip(results, traces)

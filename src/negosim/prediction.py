@@ -18,16 +18,15 @@ from numpy.linalg import _umath_linalg
 from .domain import (
     DiscretizationScheme,
     NegotiationError,
-    PreferenceProfile,
     discretize,
     is_int,
-    reservation_utility,
     total_profit,  # not called here; perfbench/test_perfbench.py asserts this binding exists
     unknown_keys,
 )
 
 if TYPE_CHECKING:
-    from .protocol import SessionTrace
+    from .protocol import TraceRow
+    from .tactics import OfferTable
 
 FAMILIES = ("linear", "power", "quadratic")  # simplest first
 _MIN_POINTS = {"linear": 2, "power": 2, "quadratic": 3}
@@ -136,6 +135,7 @@ class _Columns:
         s1, s2, s3, s4, su, stu, st2u, suu = self.sums
         x1, x2, y1, xy, y2 = self.log_sums
         for i, (t, u) in enumerate(points, lo):
+            t, u = _float(t), _float(u)
             if problem is None:
                 if not math.isfinite(t):
                     problem = "observation times must be finite"
@@ -146,7 +146,6 @@ class _Columns:
             latest = t
             t2 = t * t  # numpy's t**2, bit for bit
             buf[_T, i], buf[_T2, i], buf[_U, i] = t, t2, u
-            t, t2, u = float(t), float(t2), float(u)  # Python ints would not overflow to inf
             s1, s2, s3, s4 = s1 + t, s2 + t2, s3 + t2 * t, s4 + t2 * t2
             su, stu, st2u, suu = su + u, stu + t * u, st2u + t2 * u, suu + u * u
             positive = positive and not (t <= 0 or u <= 0)
@@ -177,6 +176,14 @@ class _Columns:
 
     def __len__(self) -> int:
         return self.n
+
+
+def _float(value) -> float:
+    """``value`` as a float; an integer past the float range is ±inf, which the series rules reject."""
+    try:
+        return value * 1.0  # unlike float(), leaves a string a TypeError, as math.isfinite does
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _lstsq(design: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -594,43 +601,33 @@ class Advice:
 class PredictorState:
     """Per-agent, per-session prediction state: warm-up observation then advice.
 
-    The state follows one session's trace: each call of :func:`advise`
-    records only the rows added since the previous call and appends each new
-    observation once to the fit columns, which check it as they store it.
+    Each call of :func:`advise` appends one observation to the fit columns,
+    which check it as they store it.
     """
 
     def __init__(self, config: PredictorConfig):
         self.config = config
         self.columns = _Columns()
         self.fit: RegressionFit | None = None
-        self.reservation: float | None = None  # the agent's, looked up on first use
-        self._rows_seen = 0
 
     @property
     def mode(self) -> str:
         return "warm-up" if len(self.columns) < self.config.warmup else "active"
 
-    def record(self, trace: "SessionTrace", profile: PreferenceProfile) -> None:
-        """Append the opponent's offers that joined ``trace`` since the last call."""
-        new = [
-            (row.round / profile.deadline, row.utility_receiver)
-            for row in trace[self._rows_seen:]
-            if row.proposer != profile.agent_id and row.action == "offer"
-        ]
-        self._rows_seen = len(trace)
-        self.columns.extend(new)
 
+def advise(state: PredictorState, incoming: "TraceRow", table: "OfferTable") -> Advice:
+    """Record the opponent's offer ``incoming`` and, once active, judge the thread.
 
-def advise(state: PredictorState, trace: "SessionTrace", profile: PreferenceProfile) -> Advice:
-    """Record the opponent's offers and, once active, judge the thread.
-
+    The caller passes each of the opponent's offers once, in the order they
+    were made, with the agent's own :class:`~negosim.tactics.OfferTable`.
     Active mode fits the best regression over (normalized time, utility of
     the opponent's offers under this agent's profile) and estimates when the
     curve reaches the agent's reservation; no crossing before the deadline
     means the thread is not worth pursuing. Once an observation is out of
     order or out of range, every later call advises ``continue``.
     """
-    state.record(trace, profile)
+    deadline = table.profile.deadline
+    state.columns.extend(((incoming.round / deadline, incoming.utility_receiver),))
     if state.mode == "warm-up":
         return Advice(kind="none")
     if state.columns.problem is not None:
@@ -639,9 +636,7 @@ def advise(state: PredictorState, trace: "SessionTrace", profile: PreferenceProf
         state.fit = select_model(state.columns)
     except DegenerateDataError:
         return Advice(kind="continue")
-    if state.reservation is None:
-        state.reservation = reservation_utility(profile)
-    t_star = estimate_crossing(state.fit, state.reservation, 1.0)
+    t_star = estimate_crossing(state.fit, table.reservation, 1.0)
     if t_star is None:
         return Advice(kind="terminate-unprofitable")
-    return Advice(kind="acceptance-forecast", t_star=t_star * profile.deadline)
+    return Advice(kind="acceptance-forecast", t_star=t_star * deadline)

@@ -69,9 +69,6 @@ class SessionTrace:
     def __len__(self) -> int:
         return len(self._rows)
 
-    def __getitem__(self, index):
-        return self._rows[index]
-
     def __iter__(self) -> Iterator[TraceRow]:
         return iter(self._rows)
 
@@ -260,7 +257,7 @@ def run_session(
             else:
                 reason = check_termination(trace, profile, divergence_window)
                 if reason is None and predictor is not None:
-                    if advise(predictor, trace, profile).kind == "terminate-unprofitable":
+                    if advise(predictor, standing, table).kind == "terminate-unprofitable":
                         reason = "unprofitable"
                 if reason is not None:
                     action = f"terminate-{reason}"

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -165,6 +166,22 @@ class TestValidateProfile:
         violations = validate_profile(profile)
         assert any("non-finite option rating" in v for v in violations)
         assert any("non-finite weight" in v for v in violations)
+
+    def test_rating_that_overflows_when_weighted_reported(self):
+        # 60 * 5e307 is past the float range: (high, s) scored 100, not 60 * 0.5 + 40
+        size = Issue("size", (IssueOption("s", 1.0), IssueOption("m", 0.0)))
+        ratings = {"low": 1.0e308, "mid": 0.0, "high": 5.0e307}
+        price = Issue("price", tuple(IssueOption(label, r) for label, r in ratings.items()))
+        profile = make_profile("a", [price, size], {"price": 60.0, "size": 40.0}, deadline=10)
+        assert validate_profile(profile) == ["issue 'price' has an option rating above 8.98847e+305"]
+        # at the bound, the weighted sum is finite and means what the ratings say
+        bound = sys.float_info.max / 200
+        ratings = {"low": bound, "mid": 0.0, "high": bound / 2}
+        price = Issue("price", tuple(IssueOption(label, r) for label, r in ratings.items()))
+        profile = make_profile("a", [price, size], {"price": 60.0, "size": 40.0}, deadline=10)
+        assert validate_profile(profile) == []
+        assert total_profit(profile, OfferVector({"price": "high", "size": "s"})) == 70.0
+        assert reservation_utility(profile) == 70.0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, 150.0])
     def test_reservation_utility_outside_0_100_reported(self, bad):

@@ -5,13 +5,17 @@ import itertools
 import math
 import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 import yaml
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+import negosim
 import test_golden
 from negosim import cli, harness
 from negosim.cli import main
@@ -110,6 +114,36 @@ class TestLoadScenario:
             load_scenario(write_scenario(tmp_path, raw))
         assert len(exc.value.violations) >= 3
 
+    @pytest.mark.parametrize(
+        "fields, expected",
+        [
+            (
+                {"weights": {"price": 50}, "ratings": {"price": {"low": -5, "mid": 0, "high": 0}}},
+                [
+                    "profile 'a': weights sum 50 is not 100",
+                    "agent 'a': issue 'price' has a negative option rating",
+                    "agent 'a': issue 'price' has 2 zero-rated options, expected exactly 1",
+                    "agent 'a': issue 'price' has no positively rated option",
+                ],
+            ),
+            (
+                {"weights": {"price": "heavy"}, "deadline": 0},
+                [
+                    "agent 'a': weight of issue 'price' must be a number, got 'heavy'",
+                    "agent 'a': deadline 0 must be > 0",
+                ],
+            ),
+        ],
+        ids=["weight-sum", "weight-str"],
+    )
+    def test_bad_weights_do_not_hide_the_agents_other_violations(self, tmp_path, fields, expected):
+        # weights that cannot build the profile; each other problem is listed once
+        raw = copy.deepcopy(MINIMAL)
+        raw["agents"][0].update(fields)
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(write_scenario(tmp_path, raw))
+        assert exc.value.violations == expected
+
     def test_missing_file_reported(self, tmp_path):
         with pytest.raises(ScenarioError):
             load_scenario(tmp_path / "absent.scenario")
@@ -159,6 +193,7 @@ class TestLoadScenario:
             (("agents", 0, "ratings", "price", "high"), "high", "rating for option 'high'"),
             (("agents", 0, "ratings", "price", "mid"), None, "rating for option 'mid'"),
             (("agents", 0, "ratings", "price", "high"), math.nan, "non-finite option rating"),
+            (("agents", 0, "ratings", "price", "high"), 1.0e308, "option rating above"),
             (("agents", 0, "tactic"), {"family": "behavior-dependent", "delta": 1.5}, "delta"),
             (("agents", 0, "tactic"), {"family": "time-dependent", "beta": -1}, "beta"),
             (("agents", 0, "tactic"), {"family": "resource-dependent", "k": 2}, "k must be"),
@@ -251,6 +286,7 @@ class TestLoadScenario:
             "rating-str",
             "rating-null",
             "rating-nan",
+            "rating-near-float-max",
             "delta-float",
             "beta-negative",
             "k-above-1",
@@ -404,6 +440,28 @@ class TestRunBatch:
         assert result.stats.sessions == 3
         # each record carries one trace per supplier thread
         assert all(len(r.traces) == 3 for r in result.records)
+
+    @pytest.mark.parametrize(
+        "max_rounds, seller_3_deadline, threads, market",
+        [
+            (2, 16, ["deadline-expiry"] * 3, "deadline-expiry"),
+            (4, 1, ["deadline-expiry", "deadline-expiry", "withdrawal"], "withdrawal"),
+        ],
+        ids=["all-expire", "mixed"],
+    )
+    def test_market_without_a_contract_reports_how_its_threads_ended(
+        self, market_scenario, max_rounds, seller_3_deadline, threads, market
+    ):
+        agents = tuple(
+            replace(spec, profile=replace(spec.profile, deadline=seller_3_deadline))
+            if spec.id == "seller_3" else spec
+            for spec in market_scenario.agents
+        )
+        scenario = replace(market_scenario, max_rounds=max_rounds, agents=agents)
+        record = run_batch(scenario, 1).records[0]
+        assert [r.outcome.kind for r in record.thread_results] == threads
+        assert record.contract is None
+        assert record.outcome.kind == market
 
 
 _BUILTIN_SUM = sum
@@ -598,6 +656,24 @@ class TestCli:
         result = CliRunner().invoke(main, ["registry-demo"])
         assert result.exit_code == 0, result.output
         assert "session company_b vs seller_1: early-termination at round 6\n" in result.output
+
+    def test_module_entry_point(self, tmp_path):
+        # python -m negosim, as a user runs it, in a fresh interpreter
+        env = {**os.environ, "PYTHONPATH": str(Path(negosim.__file__).parent.parent)}
+
+        def negosim_module(*args):
+            return subprocess.run(
+                [sys.executable, "-m", "negosim", *args],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+            )
+
+        ok = negosim_module("run", "--scenario", str(bundled_scenario("aircraft.scenario")))
+        assert ok.returncode == 0, ok.stderr
+        assert ok.stdout.startswith("outcome: agreement")
+        missing = negosim_module("run", "--scenario", "missing.scenario")
+        assert missing.returncode != 0
+        assert "does not exist" in missing.stderr
+        assert "Traceback" not in missing.stdout + missing.stderr
 
     def test_missing_scenario_exits_nonzero(self):
         runner = CliRunner()

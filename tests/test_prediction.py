@@ -38,6 +38,7 @@ from negosim.prediction import (
 )
 from negosim import prediction, protocol
 from negosim.protocol import SessionTrace, TraceRow, run_session
+from negosim.tactics import OfferTable
 
 from conftest import ladder_profile, random_profile
 from test_protocol import random_tactic, rerated
@@ -65,6 +66,16 @@ def incoming_trace(profile, utilities, rounds=None):
             offer = OfferVector({"value": "p9"})
             trace.append(TraceRow(r, profile.agent_id, offer, 90.0, 10.0, "offer"))
     return trace
+
+
+def advise_each(state, trace, profile):
+    """The advice on the last of the opponent's offers in ``trace``, when
+    advise() is handed each of them once, in order, as run_session does."""
+    table, advice = OfferTable(profile), None
+    for row in trace:
+        if row.proposer != profile.agent_id and row.action == "offer":
+            advice = advise(state, row, table)
+    return advice
 
 
 class TestObservationSeries:
@@ -97,6 +108,24 @@ class TestObservationSeries:
         points[at] = (bad, points[at][1])
         with pytest.raises(DataError, match="finite"):
             series(*points)
+
+    @pytest.mark.parametrize(
+        "points, rule",
+        [
+            (((0.0, 10**400),), "utilities"),
+            (((0.0, 50.0), (10**400, 50.0)), "finite"),
+        ],
+        ids=["utility", "time"],
+    )
+    def test_integer_past_the_float_range_is_a_data_error(self, points, rule):
+        with pytest.raises(DataError, match=rule):
+            series(*points)
+
+    def test_large_integer_time_is_stored_as_its_float(self):
+        # t * t of the Python int is past the float range, as t**2 of the float is
+        grown = series((10**200, 50.0)).columns
+        assert (grown.t.tolist(), grown.t2.tolist()) == ([1e200], [math.inf])
+        assert grown.problem is None
 
 
 class TestFitRegression:
@@ -440,14 +469,14 @@ class TestAdvise:
         profile = ladder_profile(deadline=10)
         trace = incoming_trace(profile, [10.0, 20.0, 30.0])
         state = self.state()
-        assert advise(state, trace, profile) == Advice(kind="none")
+        assert advise_each(state, trace, profile) == Advice(kind="none")
         assert state.mode == "warm-up"
 
     def test_rising_offers_forecast_acceptance(self):
         profile = ladder_profile(deadline=10, reservation=40.0)
         trace = incoming_trace(profile, [10.0, 20.0, 30.0, 40.0, 50.0], rounds=[0, 2, 4, 6, 8])
         state = self.state()
-        advice = advise(state, trace, profile)
+        advice = advise_each(state, trace, profile)
         assert advice.kind == "acceptance-forecast"
         # linear trend u = 10 + 5*round reaches 40 at round 6
         assert advice.t_star == pytest.approx(6.0)
@@ -459,35 +488,35 @@ class TestAdvise:
         rounds = list(range(1, 20, 2))
         trace = incoming_trace(profile, [30.0 * (r / 40) ** 0.001 for r in rounds], rounds=rounds)
         state = self.state()
-        advice = advise(state, trace, profile)
+        advice = advise_each(state, trace, profile)
         assert (state.fit.family, state.fit.b) == ("power", pytest.approx(0.001))
         assert advice.kind == "terminate-unprofitable"
 
     def test_flat_low_offers_advise_termination(self):
         profile = ladder_profile(deadline=10, reservation=80.0)
         trace = incoming_trace(profile, [30.0, 30.0, 30.0, 30.0, 30.0], rounds=[0, 2, 4, 6, 8])
-        advice = advise(self.state(), trace, profile)
+        advice = advise_each(self.state(), trace, profile)
         assert advice.kind == "terminate-unprofitable"
 
     def test_degenerate_history_advises_continue(self):
         # active immediately but with too few points for any fit
         profile = ladder_profile(deadline=10)
         trace = incoming_trace(profile, [30.0, 40.0])
-        advice = advise(self.state(warmup=2), trace, profile)
+        advice = advise_each(self.state(warmup=2), trace, profile)
         assert advice.kind == "continue"
 
     def test_power_intercept_beyond_float_advises_continue(self):
         # rounds 50..52 of 10**6: the power fit's exp(log a) overflows
         profile = ladder_profile(deadline=10**6)
         trace = incoming_trace(profile, [1.0, 50.0, 100.0], rounds=[50, 51, 52])
-        advice = advise(self.state(warmup=3), trace, profile)
+        advice = advise_each(self.state(warmup=3), trace, profile)
         assert advice.kind == "continue"
 
     def test_observations_rebuilt_from_trace(self):
         profile = ladder_profile(deadline=10)
         trace = incoming_trace(profile, [10.0, 20.0], rounds=[0, 2])
         state = self.state()
-        advise(state, trace, profile)
+        advise_each(state, trace, profile)
         assert state.columns.t.tolist() == [0.0, 0.2]
         assert state.columns.u.tolist() == [10.0, 20.0]
 
@@ -509,12 +538,14 @@ def rebuilt_advice(rows, profile, warmup, last_fit):
 
 
 def test_incremental_state_matches_the_rebuilt_series_randomized():
+    # the advice after each incoming row equals the advice rebuilt from the rows so far
     rng = random.Random(2024)
     kinds = set()
     broken_calls = 0
     for _ in range(300):
         reservation = rng.choice((None, rng.uniform(0.0, 100.0)))
         profile = ladder_profile(deadline=rng.randint(5, 60), reservation=reservation)
+        table = OfferTable(profile)
         warmup = rng.randint(0, 6)
         state = PredictorState(PredictorConfig(enabled=True, warmup=warmup))
         start, slope = rng.uniform(0.0, 100.0), rng.uniform(-1.0, 1.5)
@@ -540,9 +571,8 @@ def test_incremental_state_matches_the_rebuilt_series_randomized():
                 last_time = time
                 theirs = OfferVector({"value": "p5"})
                 rows.append(TraceRow(round_no, "opponent", theirs, 100.0 - u, u, "offer"))
-            if rng.random() < 0.7:
                 expected, fit = rebuilt_advice(rows, profile, warmup, fit)
-                advice = advise(state, rows, profile)
+                advice = advise(state, rows[-1], table)
                 assert advice == expected
                 assert state.fit == fit
                 if broken and state.mode == "active":
@@ -618,17 +648,21 @@ def test_grown_columns_fit_as_the_one_shot_series(first_time, zero_utility_at, c
 
 
 def test_advise_in_sessions_matches_the_one_shot_fit_randomized(monkeypatch):
-    # every live advise() equals a from-scratch fit of the same points; a
-    # replay with one observation corrupted covers series that turn invalid
+    # every live advise() equals a from-scratch fit of the opponent's offers so
+    # far, and each session hands a party every opponent offer once, in order;
+    # a replay with one observation corrupted covers series that turn invalid
     rng = random.Random(8080)
     calls, invalid_calls, kinds = 0, 0, set()
     live_advise = protocol.advise
+    handed = {}  # per predictor state: its agent and the rows it was handed
 
-    def checked_advise(state, trace, profile):
+    def checked_advise(state, incoming, table):
         nonlocal calls
+        _, rows = handed.setdefault(state, (table.profile.agent_id, []))
+        rows.append(incoming)
         previous_fit = state.fit
-        advice = live_advise(state, trace, profile)
-        expected, fit = rebuilt_advice(trace.rows, profile, state.config.warmup, previous_fit)
+        advice = live_advise(state, incoming, table)
+        expected, fit = rebuilt_advice(rows, table.profile, state.config.warmup, previous_fit)
         assert advice == expected
         assert state.fit == fit
         calls += 1
@@ -641,11 +675,15 @@ def test_advise_in_sessions_matches_the_one_shot_fit_randomized(monkeypatch):
         a = replace(random_profile(rng, "a"), deadline=rng.randint(5, 60))
         b = replace(rerated(rng, a, "b"), deadline=rng.randint(5, 60))
         warmup = rng.randint(0, 5)
+        handed = {}
         _, trace = run_session(
             a, b, random_tactic(rng), random_tactic(rng),
             predictor_config=PredictorConfig(enabled=True, warmup=warmup),
             max_rounds=rng.randint(10, 80), opener=rng.choice("ab"),
         )
+        for me, rows in handed.values():
+            theirs = [r for r in trace.rows if r.proposer != me and r.action == "offer"]
+            assert rows == theirs[: len(rows)]
         if n % 2:
             continue
         rows = list(trace.rows)
@@ -655,12 +693,13 @@ def test_advise_in_sessions_matches_the_one_shot_fit_randomized(monkeypatch):
             continue
         i = rng.choice(observed)
         rows[i] = replace(rows[i], utility_receiver=rng.choice((100.5, -1.0, math.nan)))
+        table = OfferTable(a)
         state, fit = PredictorState(PredictorConfig(enabled=True, warmup=warmup)), None
-        for stop in range(1, len(rows) + 1):
-            expected, fit = rebuilt_advice(rows[:stop], a, warmup, fit)
-            assert advise(state, rows[:stop], a) == expected
+        for stop in observed:
+            expected, fit = rebuilt_advice(rows[: stop + 1], a, warmup, fit)
+            assert advise(state, rows[stop], table) == expected
             assert state.fit == fit
-            if stop > i and state.columns.problem is not None and state.mode == "active":
+            if stop >= i and state.columns.problem is not None and state.mode == "active":
                 invalid_calls += 1
     assert calls > 500 and invalid_calls > 20
     assert kinds == {"none", "continue", "terminate-unprofitable", "acceptance-forecast"}
