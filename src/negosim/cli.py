@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,16 +30,24 @@ def _load(scenario_path: str, seed: int | None):
     return scenario
 
 
+def _warn_one_line(message, *_) -> None:
+    """``warnings.showwarning`` for the CLI: the message alone, on stderr."""
+    click.echo(f"negosim: warning: {message}", err=True)
+
+
 class _Main(click.Group):
-    """Turns every expected failure of a command into a one-line diagnostic."""
+    """Turns every expected failure of a command into a one-line diagnostic,
+    and every warning into one line on stderr."""
 
     def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except BrokenPipeError:
-            raise  # click exits quietly when stdout is closed early
-        except (NegotiationError, OSError) as exc:
-            raise click.ClickException(str(exc)) from exc
+        with warnings.catch_warnings():
+            warnings.showwarning = _warn_one_line
+            try:
+                return super().invoke(ctx)
+            except BrokenPipeError:
+                raise  # click exits quietly when stdout is closed early
+            except (NegotiationError, OSError) as exc:
+                raise click.ClickException(str(exc)) from exc
 
 
 @click.group(cls=_Main)

@@ -31,7 +31,9 @@ if TYPE_CHECKING:
 FAMILIES = ("linear", "power", "quadratic")  # simplest first
 _MIN_POINTS = {"linear": 2, "power": 2, "quadratic": 3}
 SSE_TIE_EPS = 1e-9
-_SSE_GUARD = 1e-7  # share of Σu² that bounds an SSE estimate's error; see _approximate_sse
+# share of Σu² that bounds an SSE estimate's error (see _approximate_sse), and
+# of 1 + rms(u) that bounds the error of a fit's mean (see _Columns.reaches)
+_SSE_GUARD = 1e-7
 
 
 class DegenerateDataError(NegotiationError):
@@ -100,7 +102,8 @@ class _Columns:
 
     ``sums`` holds the running sums (Σt, Σt², Σt³, Σt⁴, Σu, Σtu, Σt²u, Σu²)
     and, while the points are positive, ``log_sums`` holds (Σx, Σx², Σy,
-    Σxy, Σy²) for x = log t and y = log u; :func:`_approximate_sse` reads them.
+    Σxy, Σy²) for x = log t and y = log u; :func:`_approximate_sse` and
+    :meth:`reaches` read them.
     ``problem`` is None while every stored point is valid, else the first
     series rule a point broke; each point is checked as it is stored.
     """
@@ -165,6 +168,47 @@ class _Columns:
             np.log(buf[_U, lo:hi], out=buf[_LOG_U, lo:hi])
             self._logged = hi
         return buf
+
+    def reaches(self, level: float) -> bool:
+        """True only if every admissible family's fit reaches ``level`` by
+        the latest time: ``select_model(self)`` then raises
+        :class:`DegenerateDataError` or gives a curve whose
+        ``estimate_crossing`` at ``level`` is at most ``latest``. O(1).
+
+        Linear and quadratic least squares have an intercept, so their
+        residuals sum to 0 and the mean of the fitted values at the observed
+        times is mean(u); power fits log u with an intercept, so the mean of
+        its fitted logs is mean(log u). If mean(u) >= level + guard and,
+        while power is admissible, mean(log u) >= log(level) + guard, each
+        curve is above ``level`` at some observed time, and with every time
+        in [0, 1] it first gets there no later than ``latest``.
+
+        The guard covers the floats. A running sum of n terms is off by at
+        most n*eps times the sum of their sizes, at most n*eps*sqrt(n Σu²),
+        so the mean is within n*eps*rms(u); Σ log u likewise. gelsd returns
+        the exact solution of a problem whose design and target are
+        perturbed by c*n*eps of their norms; that problem's residual is
+        orthogonal to its perturbed column of ones, so the mean of the
+        computed fitted values is within c*n*eps*kappa_x*rms of the data's
+        (rms of u, or of log u for power), kappa_x the design's condition
+        number ([1, t]'s is at most [1, t, t²]'s). The closed forms of ``estimate_crossing`` add rounding of
+        the same order, relative to the curve and to ``level``. With c = 64
+        all of it stays under ``_SSE_GUARD * (1 + rms)`` wherever the
+        conditioning test of :func:`_approximate_sse` passes; where it
+        refuses, this is False. False also for a series that broke a rule,
+        fewer than three distinct times, or a time outside [0, 1].
+        """
+        n = self.n
+        if self.problem is not None or n < 3 or not 0.0 <= self._buf[_T, 0] <= self.latest <= 1.0:
+            return False
+        su, suu = self.sums[4], self.sums[7]
+        if _t_pivots(self) is None or not su / n >= level + _SSE_GUARD * (1.0 + math.sqrt(suu / n)):
+            return False
+        if not self.positive or level <= 0:  # power is inadmissible, or is >= 0 >= level at t = 0
+            return True
+        y1, y2 = self.log_sums[2], self.log_sums[4]
+        guard = _SSE_GUARD * (1.0 + math.sqrt(y2 / n))
+        return _log_t_pivot(self) is not None and y1 / n >= math.log(level) + guard
 
     t = property(lambda self: self._buf[_T, : self.n])
     t2 = property(lambda self: self._buf[_T2, : self.n])
@@ -271,38 +315,70 @@ def _approximate_sse(cols: _Columns) -> dict[str, tuple[float, float]]:
     """
     approx = {}
     n = cols.n
-    s1, s2, s3, s4, su, stu, st2u, suu = cols.sums
-    vt = s2 - s1 * s1 / n  # t's pivot: Σ(t - mean t)²
-    if vt > 0:
-        ct = s3 - s1 * s2 / n  # Σ(t - mean t)(t² - mean t²)
-        vt2 = s4 - s2 * s2 / n  # Σ(t² - mean t²)²
-        vq = vt2 - ct * ct / vt  # t²'s pivot, after 1 and t
-        if vq > 0:
-            kappa = s2 / vt * (s4 / vq)
-            # kappa_x² <= trace(G) * trace(G^-1); det G = n*vt*vq, and s2*s4 bounds
-            # the cofactor s2*s4 - s3²
-            kappa_x2 = (n + s2 + s4) * (n * (vt + vt2) + s2 * s4) / n / vt / vq
-            limit = _KAPPA_MAX / n
-            if kappa <= limit and kappa_x2 <= limit * limit:  # False on NaN
-                cu = stu - s1 * su / n  # Σ(t - mean t)(u - mean u)
-                qu = st2u - s2 * su / n - ct * cu / vt  # t²'s pivot column against u
-                linear = suu - su * su / n - cu * cu / vt
-                guard = _SSE_GUARD * suu
-                approx["linear"] = linear, guard
-                approx["quadratic"] = linear - qu * qu / vq, guard
-    if cols.positive:
-        x1, x2, y1, xy, y2 = cols.log_sums
-        vx = x2 - x1 * x1 / n
-        if vx > 0:
-            b = (xy - x1 * y1 / n) / vx
-            log_a = (y1 - b * x1) / n
-            limit = _KAPPA_MAX / (n * (1.0 + math.sqrt(y2)))
-            kappa, kappa_x2 = x2 / vx, (n + x2) * (n + x2) / (n * vx)  # as above, for [1, x]
-            if kappa <= limit and kappa_x2 <= limit * limit and abs(log_a) <= 700.0:
-                a, p = math.exp(log_a), cols.t**b
-                sse = a * (a * float(p @ p) - 2.0 * float(p @ cols.u)) + suu
-                approx["power"] = sse, _SSE_GUARD * (suu + abs(sse))
+    s1, s2, _, _, su, stu, st2u, suu = cols.sums
+    pivots = _t_pivots(cols)
+    if pivots is not None:
+        vt, ct, vq = pivots
+        cu = stu - s1 * su / n  # Σ(t - mean t)(u - mean u)
+        qu = st2u - s2 * su / n - ct * cu / vt  # t²'s pivot column against u
+        linear = suu - su * su / n - cu * cu / vt
+        guard = _SSE_GUARD * suu
+        approx["linear"] = linear, guard
+        approx["quadratic"] = linear - qu * qu / vq, guard
+    vx = _log_t_pivot(cols)
+    if vx is not None:
+        x1, _, y1, xy, _ = cols.log_sums
+        b = (xy - x1 * y1 / n) / vx
+        log_a = (y1 - b * x1) / n
+        if abs(log_a) <= 700.0:
+            a, p = math.exp(log_a), cols.t**b
+            sse = a * (a * float(p @ p) - 2.0 * float(p @ cols.u)) + suu
+            approx["power"] = sse, _SSE_GUARD * (suu + abs(sse))
     return approx
+
+
+def _t_pivots(cols: _Columns) -> tuple[float, float, float] | None:
+    """``(vt, ct, vq)`` for ``[1, t, t^2]`` if the guards of
+    :func:`_approximate_sse` hold for it, else None.
+
+    vt is t's pivot Σ(t - mean t)², ct is Σ(t - mean t)(t² - mean t²) and vq
+    is t²'s pivot after 1 and t. None when a pivot is not positive or
+    n * max(kappa, kappa_x) > :data:`_KAPPA_MAX`; needs n >= 1.
+    """
+    n = cols.n
+    s1, s2, s3, s4 = cols.sums[:4]
+    vt = s2 - s1 * s1 / n
+    if not vt > 0:
+        return None
+    ct = s3 - s1 * s2 / n
+    vt2 = s4 - s2 * s2 / n  # Σ(t² - mean t²)²
+    vq = vt2 - ct * ct / vt
+    if not vq > 0:
+        return None
+    kappa = s2 / vt * (s4 / vq)
+    # kappa_x² <= trace(G) * trace(G^-1); det G = n*vt*vq, and s2*s4 bounds
+    # the cofactor s2*s4 - s3²
+    kappa_x2 = (n + s2 + s4) * (n * (vt + vt2) + s2 * s4) / n / vt / vq
+    limit = _KAPPA_MAX / n
+    return (vt, ct, vq) if kappa <= limit and kappa_x2 <= limit * limit else None  # None on NaN
+
+
+def _log_t_pivot(cols: _Columns) -> float | None:
+    """vx = Σ(log t - mean log t)² if the points are positive and the guards
+    of :func:`_approximate_sse` hold for ``[1, log t]``, else None.
+
+    They hold while n * max(kappa, kappa_x) * (1 + ||log u||) <= :data:`_KAPPA_MAX`.
+    """
+    if not cols.positive:
+        return None
+    n = cols.n
+    x1, x2, _, _, y2 = cols.log_sums
+    vx = x2 - x1 * x1 / n
+    if not vx > 0:
+        return None
+    limit = _KAPPA_MAX / (n * (1.0 + math.sqrt(y2)))
+    kappa, kappa_x2 = x2 / vx, (n + x2) * (n + x2) / (n * vx)  # as for [1, t, t²]
+    return vx if kappa <= limit and kappa_x2 <= limit * limit else None
 
 
 def _candidates(cols: _Columns) -> list[str]:
@@ -594,8 +670,18 @@ class PredictorConfig:
 
 @dataclass(frozen=True)
 class Advice:
-    kind: str  # none | continue | terminate-unprofitable | acceptance-forecast
-    t_star: float | None = None  # forecast acceptance round (own-deadline units)
+    """What :func:`advise` makes of the thread so far.
+
+    ``kind`` is ``none`` (warm-up), ``continue`` (no usable fit),
+    ``terminate-unprofitable`` (the fitted curve never reaches the
+    reservation before the deadline) or ``acceptance-forecast``. For a
+    forecast, ``t_star`` is the round by which the opponent's offers reach
+    the reservation: the fitted crossing, or, when the running sums already
+    prove that every curve reaches it, the round of the offer answered.
+    """
+
+    kind: str
+    t_star: float | None = None  # own-deadline rounds
 
 
 class PredictorState:
@@ -608,7 +694,6 @@ class PredictorState:
     def __init__(self, config: PredictorConfig):
         self.config = config
         self.columns = _Columns()
-        self.fit: RegressionFit | None = None
 
     @property
     def mode(self) -> str:
@@ -623,8 +708,12 @@ def advise(state: PredictorState, incoming: "TraceRow", table: "OfferTable") -> 
     Active mode fits the best regression over (normalized time, utility of
     the opponent's offers under this agent's profile) and estimates when the
     curve reaches the agent's reservation; no crossing before the deadline
-    means the thread is not worth pursuing. Once an observation is out of
-    order or out of range, every later call advises ``continue``.
+    means the thread is not worth pursuing. When the columns' running sums
+    already prove that every family's curve reaches the reservation by now
+    (:meth:`_Columns.reaches`), no verdict can be ``terminate-unprofitable``
+    and nothing is fitted: the forecast is the round of ``incoming``. Once
+    an observation is out of order or out of range, every later call
+    advises ``continue``.
     """
     deadline = table.profile.deadline
     state.columns.extend(((incoming.round / deadline, incoming.utility_receiver),))
@@ -632,11 +721,13 @@ def advise(state: PredictorState, incoming: "TraceRow", table: "OfferTable") -> 
         return Advice(kind="none")
     if state.columns.problem is not None:
         return Advice(kind="continue")
+    if state.columns.reaches(table.reservation):
+        return Advice(kind="acceptance-forecast", t_star=float(incoming.round))
     try:
-        state.fit = select_model(state.columns)
+        fit = select_model(state.columns)
     except DegenerateDataError:
         return Advice(kind="continue")
-    t_star = estimate_crossing(state.fit, table.reservation, 1.0)
+    t_star = estimate_crossing(fit, table.reservation, 1.0)
     if t_star is None:
         return Advice(kind="terminate-unprofitable")
     return Advice(kind="acceptance-forecast", t_star=t_star * deadline)

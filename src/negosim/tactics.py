@@ -62,7 +62,8 @@ def resource_alpha(r: float, k: float) -> float:
         raise ParameterError(f"resource remaining must be >= 0, got {r:g}")
     if not 0 <= k <= 1:
         raise ParameterError(f"k must be in [0, 1], got {k:g}")
-    return k + (1.0 - k) * math.exp(-r)
+    # exp(-r) is 0.0 from r = 746 on; clamped, an int past the float range cannot overflow
+    return k + (1.0 - k) * math.exp(-min(r, 1000.0))
 
 
 def _concede(alpha: float, reservation: float) -> float:

@@ -80,6 +80,15 @@ def write_scenario(tmp_path, raw, name="test.scenario"):
     return path
 
 
+def negosim_module(cwd, *args):
+    """``python -m negosim *args``, as a user runs it, in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(negosim.__file__).parent.parent)}
+    return subprocess.run(
+        [sys.executable, "-m", "negosim", *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 class TestLoadScenario:
     def test_bundled_aircraft_loads(self, aircraft_scenario):
         assert aircraft_scenario.mode == "bilateral"
@@ -658,22 +667,33 @@ class TestCli:
         assert "session company_b vs seller_1: early-termination at round 6\n" in result.output
 
     def test_module_entry_point(self, tmp_path):
-        # python -m negosim, as a user runs it, in a fresh interpreter
-        env = {**os.environ, "PYTHONPATH": str(Path(negosim.__file__).parent.parent)}
-
-        def negosim_module(*args):
-            return subprocess.run(
-                [sys.executable, "-m", "negosim", *args],
-                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-            )
-
-        ok = negosim_module("run", "--scenario", str(bundled_scenario("aircraft.scenario")))
+        ok = negosim_module(tmp_path, "run", "--scenario", str(bundled_scenario("aircraft.scenario")))
         assert ok.returncode == 0, ok.stderr
         assert ok.stdout.startswith("outcome: agreement")
-        missing = negosim_module("run", "--scenario", "missing.scenario")
+        missing = negosim_module(tmp_path, "run", "--scenario", "missing.scenario")
         assert missing.returncode != 0
         assert "does not exist" in missing.stderr
         assert "Traceback" not in missing.stdout + missing.stderr
+
+    def test_weights_warning_is_one_line_on_stderr(self, tmp_path):
+        raw = copy.deepcopy(MINIMAL)
+        raw["agents"][0]["weights"] = {"price": 100.5}
+        path = write_scenario(tmp_path, raw)
+        done = negosim_module(tmp_path, "run", "--scenario", str(path))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("outcome: ")
+        assert done.stderr == "negosim: warning: profile 'a': weights sum 100.5 normalized to 100\n"
+        with pytest.warns(UserWarning, match="weights sum 100.5 normalized to 100"):
+            load_scenario(path)  # library callers still get the warning itself
+
+    def test_deadline_past_the_float_range_with_a_resource_dependent_tactic(self, tmp_path):
+        # the rounds left are an int past the float range: the concession has not begun
+        raw = copy.deepcopy(MINIMAL)
+        raw["agents"][0]["deadline"] = 10**400
+        raw["agents"][0]["tactic"] = {"family": "resource-dependent", "k": 0.0}
+        result = CliRunner().invoke(main, ["run", "--scenario", str(write_scenario(tmp_path, raw))])
+        assert result.exit_code == 0, result.output
+        assert result.output.startswith("outcome: ")
 
     def test_missing_scenario_exits_nonzero(self):
         runner = CliRunner()

@@ -489,7 +489,8 @@ class TestAdvise:
         trace = incoming_trace(profile, [30.0 * (r / 40) ** 0.001 for r in rounds], rounds=rounds)
         state = self.state()
         advice = advise_each(state, trace, profile)
-        assert (state.fit.family, state.fit.b) == ("power", pytest.approx(0.001))
+        fit = select_model(state.columns)
+        assert (fit.family, fit.b) == ("power", pytest.approx(0.001))
         assert advice.kind == "terminate-unprofitable"
 
     def test_flat_low_offers_advise_termination(self):
@@ -506,11 +507,26 @@ class TestAdvise:
         assert advice.kind == "continue"
 
     def test_power_intercept_beyond_float_advises_continue(self):
-        # rounds 50..52 of 10**6: the power fit's exp(log a) overflows
-        profile = ladder_profile(deadline=10**6)
+        # rounds 50..52 of 10**6: the power fit's exp(log a) overflows; a
+        # reservation above the offers' mean keeps the fit from being skipped
+        profile = ladder_profile(deadline=10**6, reservation=60.0)
         trace = incoming_trace(profile, [1.0, 50.0, 100.0], rounds=[50, 51, 52])
         advice = advise_each(self.state(warmup=3), trace, profile)
         assert advice.kind == "continue"
+
+    def test_offers_above_the_reservation_forecast_the_round_answered(self, monkeypatch):
+        # the running sums prove the curve reaches 40 by now, so nothing is fitted
+        profile = ladder_profile(deadline=10, reservation=40.0)
+        trace = incoming_trace(profile, [50.0, 60.0, 50.0, 70.0, 60.0], rounds=[0, 2, 4, 6, 8])
+        state = self.state()
+
+        def no_fit(cols):
+            raise AssertionError("select_model was called")
+
+        monkeypatch.setattr(prediction, "select_model", no_fit)
+        assert advise_each(state, trace, profile) == Advice("acceptance-forecast", t_star=8.0)
+        monkeypatch.undo()
+        assert estimate_crossing(select_model(state.columns), 40.0, 1.0) == 0.0
 
     def test_observations_rebuilt_from_trace(self):
         profile = ladder_profile(deadline=10)
@@ -521,27 +537,52 @@ class TestAdvise:
         assert state.columns.u.tolist() == [10.0, 20.0]
 
 
-def rebuilt_advice(rows, profile, warmup, last_fit):
-    """Reference: the advice from a series rebuilt, and checked, from the whole trace."""
+def fit_or_error(series):
+    """select_model's fit, or the type of the error it raises."""
+    try:
+        return select_model(series)
+    except DegenerateDataError as exc:
+        return type(exc)
+
+
+def rebuilt_advice(rows, profile, warmup):
+    """Reference: the advice from a series rebuilt, and checked, from the whole
+    trace, and the one-shot fit (or its error type) behind it, None if none.
+
+    Where the series' running sums certify that the reservation is reached,
+    the advice is a forecast of the round answered; the one-shot fit is made
+    anyway, and its verdict must agree that the thread is not unprofitable.
+    """
     incoming = [r for r in rows if r.proposer != profile.agent_id and r.action == "offer"]
     points = tuple((r.round / profile.deadline, r.utility_receiver) for r in incoming)
     if len(points) < warmup:
-        return Advice(kind="none"), last_fit
+        return Advice(kind="none"), None
     try:
-        fit = select_model(ObservationSeries(points=points))
-    except (DegenerateDataError, DataError):
-        return Advice(kind="continue"), last_fit
-    t_star = estimate_crossing(fit, reservation_utility(profile), 1.0)
-    if t_star is None:
-        return Advice(kind="terminate-unprofitable"), fit
-    return Advice(kind="acceptance-forecast", t_star=t_star * profile.deadline), fit
+        series = ObservationSeries(points=points)
+    except DataError:
+        return Advice(kind="continue"), None
+    reservation = reservation_utility(profile)
+    fit = fit_or_error(series)
+    if isinstance(fit, type):
+        full = Advice(kind="continue")
+    else:
+        t_star = estimate_crossing(fit, reservation, 1.0)
+        if t_star is None:
+            full = Advice(kind="terminate-unprofitable")
+        else:
+            full = Advice(kind="acceptance-forecast", t_star=t_star * profile.deadline)
+    if series.columns.reaches(reservation):
+        assert full.kind != "terminate-unprofitable", points
+        assert full.t_star is None or full.t_star <= incoming[-1].round, points
+        return Advice(kind="acceptance-forecast", t_star=float(incoming[-1].round)), fit
+    return full, fit
 
 
 def test_incremental_state_matches_the_rebuilt_series_randomized():
     # the advice after each incoming row equals the advice rebuilt from the rows so far
     rng = random.Random(2024)
     kinds = set()
-    broken_calls = 0
+    broken_calls, certified = 0, 0
     for _ in range(300):
         reservation = rng.choice((None, rng.uniform(0.0, 100.0)))
         profile = ladder_profile(deadline=rng.randint(5, 60), reservation=reservation)
@@ -552,7 +593,7 @@ def test_incremental_state_matches_the_rebuilt_series_randomized():
         on_ladder = rng.random() < 0.3  # multiples of 10: ties, zeros and flat runs
         faulty = rng.random() < 0.3
         # a list of rows stands in for the trace, so that rounds can go backwards
-        rows, fit, broken, last_time = [], None, False, None
+        rows, broken, last_time = [], False, None
         for r in range(rng.randint(1, 80)):
             if rng.random() < 0.5:
                 own = OfferVector({"value": "p9"})
@@ -571,16 +612,19 @@ def test_incremental_state_matches_the_rebuilt_series_randomized():
                 last_time = time
                 theirs = OfferVector({"value": "p5"})
                 rows.append(TraceRow(round_no, "opponent", theirs, 100.0 - u, u, "offer"))
-                expected, fit = rebuilt_advice(rows, profile, warmup, fit)
+                expected, fit = rebuilt_advice(rows, profile, warmup)
                 advice = advise(state, rows[-1], table)
                 assert advice == expected
-                assert state.fit == fit
+                if fit is not None:  # the grown columns fit as the one-shot series
+                    assert fit_or_error(state.columns) == fit
+                    certified += state.columns.reaches(table.reservation)
                 if broken and state.mode == "active":
                     assert advice.kind == "continue"
                     broken_calls += 1
                 kinds.add(advice.kind)
     assert kinds == {"none", "continue", "terminate-unprofitable", "acceptance-forecast"}
     assert broken_calls > 100
+    assert certified > 1000
 
 
 def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
@@ -652,19 +696,20 @@ def test_advise_in_sessions_matches_the_one_shot_fit_randomized(monkeypatch):
     # far, and each session hands a party every opponent offer once, in order;
     # a replay with one observation corrupted covers series that turn invalid
     rng = random.Random(8080)
-    calls, invalid_calls, kinds = 0, 0, set()
+    calls, invalid_calls, certified, kinds = 0, 0, 0, set()
     live_advise = protocol.advise
     handed = {}  # per predictor state: its agent and the rows it was handed
 
     def checked_advise(state, incoming, table):
-        nonlocal calls
+        nonlocal calls, certified
         _, rows = handed.setdefault(state, (table.profile.agent_id, []))
         rows.append(incoming)
-        previous_fit = state.fit
         advice = live_advise(state, incoming, table)
-        expected, fit = rebuilt_advice(rows, table.profile, state.config.warmup, previous_fit)
+        expected, fit = rebuilt_advice(rows, table.profile, state.config.warmup)
         assert advice == expected
-        assert state.fit == fit
+        if fit is not None:
+            assert fit_or_error(state.columns) == fit
+            certified += state.columns.reaches(table.reservation)
         calls += 1
         kinds.add(advice.kind)
         return advice
@@ -694,15 +739,105 @@ def test_advise_in_sessions_matches_the_one_shot_fit_randomized(monkeypatch):
         i = rng.choice(observed)
         rows[i] = replace(rows[i], utility_receiver=rng.choice((100.5, -1.0, math.nan)))
         table = OfferTable(a)
-        state, fit = PredictorState(PredictorConfig(enabled=True, warmup=warmup)), None
+        state = PredictorState(PredictorConfig(enabled=True, warmup=warmup))
         for stop in observed:
-            expected, fit = rebuilt_advice(rows[: stop + 1], a, warmup, fit)
+            expected, fit = rebuilt_advice(rows[: stop + 1], a, warmup)
             assert advise(state, rows[stop], table) == expected
-            assert state.fit == fit
+            if fit is not None:
+                assert fit_or_error(state.columns) == fit
             if stop >= i and state.columns.problem is not None and state.mode == "active":
                 invalid_calls += 1
-    assert calls > 500 and invalid_calls > 20
+    assert calls > 500 and invalid_calls > 20 and certified > 100
     assert kinds == {"none", "continue", "terminate-unprofitable", "acceptance-forecast"}
+
+
+# --- the certificate that lets advise skip the fit ----------------------------
+
+
+def crossing_or_error(cols, level):
+    """The fitted curve's first crossing of ``level`` in [0, 1] (None if none),
+    or the type of the error select_model raises."""
+    fit = fit_or_error(cols)
+    return fit if isinstance(fit, type) else estimate_crossing(fit, level, 1.0)
+
+
+def boundary_series(rng):
+    """3 to 80 distinct times in [0, 1], packed into widths down to 1e-9, and
+    utilities that are noise, a trend, a ladder or nearly flat, some with a 0."""
+    n = rng.randint(3, 80)
+    width = rng.choice((10 ** rng.uniform(-9, 0), rng.uniform(0.1, 1.0)))
+    start = rng.choice((0.0, 1.0 - width, rng.uniform(0.0, 1.0 - width)))
+    times = sorted({min(start + width * rng.random(), 1.0) for _ in range(n)})
+    if rng.random() < 0.3:
+        times[-1] = 1.0
+    base, slope, bend = rng.uniform(0, 100), rng.uniform(-80, 80), rng.uniform(-80, 80)
+    shape = rng.randrange(4)
+    us = []
+    for i, t in enumerate(times):
+        x = (t - times[0]) / width
+        if shape == 0:
+            u = rng.uniform(0, 100)
+        elif shape == 1:
+            u = base + slope * x + bend * x * x + rng.gauss(0, 1)
+        elif shape == 2:  # a ladder, as the benchmark's offers are
+            u = rng.choice((2.5, 10.0)) * round((base + slope * x) / 10)
+        else:
+            u = base + rng.choice((0.0, 1e-9, 1e-3)) * rng.gauss(0, 1)
+        us.append(min(max(u, 0.0), 100.0))
+    if rng.random() < 0.4:  # power is inadmissible: the mean alone decides
+        us[rng.randrange(len(us))] = 0.0
+    return list(zip(times, us))
+
+
+def test_reaches_is_sound_near_the_boundary():
+    # levels within 1e-12 to 1e-2 of the mean, or of the geometric mean, on
+    # either side: whenever reaches() holds, the fit never advises termination
+    rng = random.Random(17)
+    certified, declined, closest = 0, 0, math.inf
+    for _ in range(15_000):
+        points = boundary_series(rng)
+        us = [u for _, u in points]
+        means = [math.fsum(us) / len(us)]
+        if min(us) > 0:
+            means.append(math.exp(math.fsum(map(math.log, us)) / len(us)))
+        mean = rng.choice(means)
+        level = mean + rng.choice((-1, 1)) * 10 ** rng.uniform(-12, -2)
+        cols = _Columns(points)
+        if not cols.reaches(level):
+            declined += 1
+            continue
+        certified += 1
+        closest = min(closest, mean - level)
+        crossing = crossing_or_error(cols, level)
+        assert crossing is DegenerateDataError or crossing <= cols.latest, (points, level)
+    assert certified > 500 and declined > 5000
+    assert closest < 1e-4  # the guard, not only the spread of the levels, decides
+
+
+def test_reaches_declines_a_time_outside_zero_to_one():
+    # a line through (0.5, 0) and (1.5, 100) averages 50 but reaches 60 at t = 1.1
+    points = [(0.5 + i / 100, float(i)) for i in range(101)]
+    assert estimate_crossing(select_model(_Columns(points)), 60.0, 1.0) is None
+    assert not _Columns(points).reaches(60.0)
+    assert _Columns(points[:51]).reaches(20.0)  # times up to 1.0, crossing at 0.7
+    assert not _Columns([(t - 0.6, u) for t, u in points[:51]]).reaches(20.0)  # a time < 0
+    rng = random.Random(18)
+    for _ in range(2000):
+        points = boundary_series(rng)
+        stretch = rng.uniform(1.0, 3.0)
+        past = [(t * stretch, u) for t, u in points]
+        if past[-1][0] > 1.0:
+            assert not _Columns(past).reaches(rng.uniform(0.0, 50.0))
+
+
+@pytest.mark.parametrize("level", [0.0, 2.5, 37.5, 60.0, 100.0])
+def test_reaches_declines_a_flat_series_at_the_level(level):
+    # mean - level is 0, or an ulp or two: the fit decides, as it did before
+    for n in (3, 10, 60, 200):
+        cols = _Columns([(0.005 + i / 250, level) for i in range(n)])
+        for below in (level, math.nextafter(level, -1.0), level - 1e-12):
+            assert not cols.reaches(below), (n, below)
+        assert cols.reaches(level - 0.01)
 
 
 # --- select_model against a reference that fits every admissible family -----
@@ -776,10 +911,7 @@ def check_against_reference(cols: _Columns) -> dict:
     type, bit for bit, and that each SSE estimate lies within its guard of
     the exact SSE; return the estimates."""
     fits = reference_fits(cols.t.copy(), cols.u.copy())
-    try:
-        got = select_model(cols)
-    except DegenerateDataError as exc:
-        got = type(exc)
+    got = fit_or_error(cols)
     assert bits(got) == bits(reference_select_model(fits)), (cols.t.tolist(), cols.u.tolist())
     with np.errstate(all="ignore"):
         approx = _approximate_sse(cols)
@@ -789,26 +921,58 @@ def check_against_reference(cols: _Columns) -> dict:
 
 
 def test_select_model_matches_the_reference_on_every_long_horizon_fit(monkeypatch):
-    # the benchmark's seed-1 long_horizon sessions, with each fit checked as it is made
+    # the benchmark's seed-1 long_horizon sessions, with the columns of every
+    # active advise() checked, whether or not advise fits them
     from perfbench import workloads
 
-    live_select_model = prediction.select_model
-    calls, solves = 0, 0
+    live_advise = protocol.advise
+    checked, solves = 0, 0
 
-    def checked_select_model(cols):
-        nonlocal calls, solves
-        calls += 1
-        with np.errstate(all="ignore"):
-            solves += len(_candidates(cols))
-        check_against_reference(cols)
+    def checked_advise(state, incoming, table):
+        nonlocal checked, solves
+        advice = live_advise(state, incoming, table)
+        cols = state.columns
+        if state.mode == "active" and cols.problem is None:
+            checked += 1
+            with np.errstate(all="ignore"):
+                solves += len(_candidates(cols))
+            check_against_reference(cols)
+        return advice
+
+    workload = workloads.make("long_horizon", 1, None)
+    monkeypatch.setattr(protocol, "advise", checked_advise)
+    for key in range(workload.units):
+        workload.run(key)
+    assert checked > 20_000
+    assert solves < 1.1 * checked  # fitting all would take more than 2 solves per series
+
+
+def test_long_horizon_fits_rarely_and_ends_the_same_sessions(monkeypatch):
+    # seed 1: nearly every active advise() is certified, and the 14 sessions whose
+    # offers sit flat at the reservation still go through the fit and end unprofitable
+    from perfbench import workloads
+
+    live_advise, live_select_model = protocol.advise, prediction.select_model
+    active, fits = 0, 0
+
+    def counted_advise(state, incoming, table):
+        nonlocal active
+        advice = live_advise(state, incoming, table)
+        active += state.mode == "active"
+        return advice
+
+    def counted_select_model(cols):
+        nonlocal fits
+        fits += 1
         return live_select_model(cols)
 
     workload = workloads.make("long_horizon", 1, None)
-    monkeypatch.setattr(prediction, "select_model", checked_select_model)
-    for key in range(workload.units):
-        workload.run(key)
-    assert calls > 20_000
-    assert solves < 1.1 * calls  # fitting all would take more than 2 solves per call
+    monkeypatch.setattr(protocol, "advise", counted_advise)
+    monkeypatch.setattr(prediction, "select_model", counted_select_model)
+    reasons = [workload.run(key)[0].reason for key in range(workload.units)]
+    assert active > 20_000
+    assert fits <= 0.02 * active
+    assert reasons.count("unprofitable") == 14
 
 
 def test_select_model_matches_the_reference_on_hard_series():
