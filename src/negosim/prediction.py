@@ -31,9 +31,7 @@ if TYPE_CHECKING:
 FAMILIES = ("linear", "power", "quadratic")  # simplest first
 _MIN_POINTS = {"linear": 2, "power": 2, "quadratic": 3}
 SSE_TIE_EPS = 1e-9
-# share of Σu² that bounds an SSE estimate's error (see _approximate_sse), and
-# of 1 + rms(u) that bounds the error of a fit's mean (see _Columns.reaches)
-_SSE_GUARD = 1e-7
+_MEAN_GUARD = 1e-7  # share of 1 + rms(u) that bounds the error of a fit's mean (see _Columns.reaches)
 
 
 class DegenerateDataError(NegotiationError):
@@ -85,7 +83,7 @@ class RegressionFit:
 _ONE, _T, _T2, _ONE_LOG, _LOG_T, _U, _LOG_U = range(7)
 _LINEAR, _QUADRATIC, _POWER = slice(_ONE, _T2), slice(_ONE, _ONE_LOG), slice(_ONE_LOG, _U)
 _EPS = np.finfo(np.float64).eps
-_KAPPA_MAX = _SSE_GUARD / (64 * _EPS)  # about 7.0e6: n * kappa up to which _SSE_GUARD holds
+_KAPPA_MAX = _MEAN_GUARD / (64 * _EPS)  # about 7.0e6: n * kappa up to which _MEAN_GUARD holds
 
 
 class _Columns:
@@ -100,10 +98,9 @@ class _Columns:
     views of the first ``n`` columns; each design matrix is a transposed
     run of rows.
 
-    ``sums`` holds the running sums (Σt, Σt², Σt³, Σt⁴, Σu, Σtu, Σt²u, Σu²)
-    and, while the points are positive, ``log_sums`` holds (Σx, Σx², Σy,
-    Σxy, Σy²) for x = log t and y = log u; :func:`_approximate_sse` and
-    :meth:`reaches` read them.
+    ``sums`` holds the running sums (Σt, Σt², Σt³, Σt⁴, Σu, Σu²) and, while
+    the points are positive, ``log_sums`` holds (Σx, Σx², Σy, Σy²) for
+    x = log t and y = log u; :meth:`reaches` reads them.
     ``problem`` is None while every stored point is valid, else the first
     series rule a point broke; each point is checked as it is stored.
     """
@@ -113,8 +110,8 @@ class _Columns:
         self.positive = True
         self.problem: str | None = None
         self.latest = -math.inf  # the last point's time
-        self.sums = (0.0,) * 8
-        self.log_sums = (0.0,) * 5
+        self.sums = (0.0,) * 6
+        self.log_sums = (0.0,) * 4
         self._logged = 0  # columns whose log rows are filled in
         self._buf = self._allocate(16)
         self.extend(points)
@@ -135,8 +132,8 @@ class _Columns:
             grown[:, :lo] = self._buf[:, :lo]
             self._buf = grown
         buf, positive, problem, latest = self._buf, self.positive, self.problem, self.latest
-        s1, s2, s3, s4, su, stu, st2u, suu = self.sums
-        x1, x2, y1, xy, y2 = self.log_sums
+        s1, s2, s3, s4, su, suu = self.sums
+        x1, x2, y1, y2 = self.log_sums
         for i, (t, u) in enumerate(points, lo):
             t, u = _float(t), _float(u)
             if problem is None:
@@ -150,13 +147,13 @@ class _Columns:
             t2 = t * t  # numpy's t**2, bit for bit
             buf[_T, i], buf[_T2, i], buf[_U, i] = t, t2, u
             s1, s2, s3, s4 = s1 + t, s2 + t2, s3 + t2 * t, s4 + t2 * t2
-            su, stu, st2u, suu = su + u, stu + t * u, st2u + t2 * u, suu + u * u
+            su, suu = su + u, suu + u * u
             positive = positive and not (t <= 0 or u <= 0)
             if positive:
                 x, y = math.log(t), math.log(u)
-                x1, x2, y1, xy, y2 = x1 + x, x2 + x * x, y1 + y, xy + x * y, y2 + y * y
-        self.sums = s1, s2, s3, s4, su, stu, st2u, suu
-        self.log_sums = x1, x2, y1, xy, y2
+                x1, x2, y1, y2 = x1 + x, x2 + x * x, y1 + y, y2 + y * y
+        self.sums = s1, s2, s3, s4, su, suu
+        self.log_sums = x1, x2, y1, y2
         self.positive, self.problem, self.latest = positive, problem, latest
         self.n = hi
 
@@ -185,30 +182,32 @@ class _Columns:
 
         The guard covers the floats. A running sum of n terms is off by at
         most n*eps times the sum of their sizes, at most n*eps*sqrt(n Σu²),
-        so the mean is within n*eps*rms(u); Σ log u likewise. gelsd returns
-        the exact solution of a problem whose design and target are
-        perturbed by c*n*eps of their norms; that problem's residual is
-        orthogonal to its perturbed column of ones, so the mean of the
-        computed fitted values is within c*n*eps*kappa_x*rms of the data's
-        (rms of u, or of log u for power), kappa_x the design's condition
-        number ([1, t]'s is at most [1, t, t²]'s). The closed forms of ``estimate_crossing`` add rounding of
-        the same order, relative to the curve and to ``level``. With c = 64
-        all of it stays under ``_SSE_GUARD * (1 + rms)`` wherever the
-        conditioning test of :func:`_approximate_sse` passes; where it
-        refuses, this is False. False also for a series that broke a rule,
-        fewer than three distinct times, or a time outside [0, 1].
+        so the mean is within n*eps*rms(u); Σ log u likewise. gelsd is
+        normwise backward stable: it returns the exact solution of a problem
+        whose design and target are perturbed by c*n*eps of their norms.
+        That problem's residual is orthogonal to its perturbed column of
+        ones, so the mean of the computed fitted values is within
+        c*n*eps*kappa_x*rms of the data's (rms of u, or of log u for power),
+        kappa_x the design's 2-norm condition number ([1, t]'s is at most
+        [1, t, t²]'s). The closed forms of ``estimate_crossing`` add
+        rounding of the same order, relative to the curve and to ``level``.
+        With c = 64 all of it stays under ``_MEAN_GUARD * (1 + rms)`` while
+        n * kappa_x <= :data:`_KAPPA_MAX`, which :func:`_t_pivots` (and, for
+        power, :func:`_log_t_pivot`) checks; where it refuses, this is
+        False. False also for a series that broke a rule, fewer than three
+        distinct times, or a time outside [0, 1].
         """
         n = self.n
         if self.problem is not None or n < 3 or not 0.0 <= self._buf[_T, 0] <= self.latest <= 1.0:
             return False
-        su, suu = self.sums[4], self.sums[7]
-        if _t_pivots(self) is None or not su / n >= level + _SSE_GUARD * (1.0 + math.sqrt(suu / n)):
+        su, suu = self.sums[4:]
+        if not _t_pivots(self) or not su / n >= level + _MEAN_GUARD * (1.0 + math.sqrt(suu / n)):
             return False
         if not self.positive or level <= 0:  # power is inadmissible, or is >= 0 >= level at t = 0
             return True
-        y1, y2 = self.log_sums[2], self.log_sums[4]
-        guard = _SSE_GUARD * (1.0 + math.sqrt(y2 / n))
-        return _log_t_pivot(self) is not None and y1 / n >= math.log(level) + guard
+        y1, y2 = self.log_sums[2:]
+        guard = _MEAN_GUARD * (1.0 + math.sqrt(y2 / n))
+        return _log_t_pivot(self) and y1 / n >= math.log(level) + guard
 
     t = property(lambda self: self._buf[_T, : self.n])
     t2 = property(lambda self: self._buf[_T2, : self.n])
@@ -284,133 +283,71 @@ def _fit(family: str, cols: _Columns) -> RegressionFit:
     return RegressionFit(family, a, b, float(np.add.reduce((pred - u) ** 2)), c)
 
 
-def _approximate_sse(cols: _Columns) -> dict[str, tuple[float, float]]:
-    """``family -> (sse, guard)``: the SSE :func:`_fit` would return lies
-    within ``guard`` of ``sse``, and ``_fit`` would raise nothing.
+def _t_pivots(cols: _Columns) -> bool:
+    """Whether ``[1, t, t^2]`` passes the conditioning test of
+    :meth:`_Columns.reaches`; needs n >= 1.
 
-    Only the families the running sums can vouch for are present. Linear
-    and quadratic come from the sums alone: Gram-Schmidt on the normal
-    equations of ``[1, t, t^2]`` in centred form, whose last pivot is the
-    SSE. A running sum of n terms is off by at most n*eps times the sum of
-    the terms' sizes, and each pivot step multiplies a relative error by at
-    most its diagonal-to-pivot ratio; with ``kappa`` the product of those
-    ratios, the closed form is within c*n*eps*kappa*Σu² of the exact
-    least-squares SSE. ``_fit`` solves with gelsd, which is normwise
-    backward stable, so its SSE, residual rounding included, is within
-    c*n*eps*kappa_x*Σu² of the same value, kappa_x the design's 2-norm
-    condition number (here bounded by trace(G) * trace(G^-1) for the Gram
-    matrix G). With c = 64, both stay under ``_SSE_GUARD * Σu²`` as long as
-    n * max(kappa, kappa_x) <= :data:`_KAPPA_MAX`; the bound on kappa_x
+    Its Gram matrix G = XᵀX, in centred form, has pivots n, vt = Σ(t - mean
+    t)² and vq, t²'s pivot after 1 and t; det G = n*vt*vq. The test bounds
+    kappa_x² <= trace(G) * trace(G^-1), in which s2*s4 bounds the cofactor
+    s2*s4 - s3², and passes while n * kappa_x <= :data:`_KAPPA_MAX`; that
     also keeps gelsd's rank test (cut-off eps * n) from dropping a column.
-
-    Power's SSE is on the original scale, so it needs a pass over the
-    points: with a and b from the closed-form log-log line and p = t^b, it
-    is a²Σp² - 2aΣpu + Σu². Each point's fitted log value is within
-    c*n*eps*kappa*||log u|| of gelsd's, which moves the SSE by at most three
-    times that share of (Σu² + SSE), and the three terms lose at most
-    c*n*eps*(Σu² + SSE) to cancellation; the guard covers both while
-    n * kappa * (1 + ||log u||) <= _KAPPA_MAX.
-    Power is left out unless ``|log a| <= 700``, so ``exp`` neither
-    overflows (past 709.78) nor underflows in either fit.
-    """
-    approx = {}
-    n = cols.n
-    s1, s2, _, _, su, stu, st2u, suu = cols.sums
-    pivots = _t_pivots(cols)
-    if pivots is not None:
-        vt, ct, vq = pivots
-        cu = stu - s1 * su / n  # Σ(t - mean t)(u - mean u)
-        qu = st2u - s2 * su / n - ct * cu / vt  # t²'s pivot column against u
-        linear = suu - su * su / n - cu * cu / vt
-        guard = _SSE_GUARD * suu
-        approx["linear"] = linear, guard
-        approx["quadratic"] = linear - qu * qu / vq, guard
-    vx = _log_t_pivot(cols)
-    if vx is not None:
-        x1, _, y1, xy, _ = cols.log_sums
-        b = (xy - x1 * y1 / n) / vx
-        log_a = (y1 - b * x1) / n
-        if abs(log_a) <= 700.0:
-            a, p = math.exp(log_a), cols.t**b
-            sse = a * (a * float(p @ p) - 2.0 * float(p @ cols.u)) + suu
-            approx["power"] = sse, _SSE_GUARD * (suu + abs(sse))
-    return approx
-
-
-def _t_pivots(cols: _Columns) -> tuple[float, float, float] | None:
-    """``(vt, ct, vq)`` for ``[1, t, t^2]`` if the guards of
-    :func:`_approximate_sse` hold for it, else None.
-
-    vt is t's pivot Σ(t - mean t)², ct is Σ(t - mean t)(t² - mean t²) and vq
-    is t²'s pivot after 1 and t. None when a pivot is not positive or
-    n * max(kappa, kappa_x) > :data:`_KAPPA_MAX`; needs n >= 1.
+    The pivots come from running sums, and each pivot step multiplies a
+    relative error by at most its diagonal-to-pivot ratio, so the test also
+    asks n * kappa <= _KAPPA_MAX for kappa the product of those ratios:
+    then the bound on kappa_x is itself accurate. False when a pivot is not
+    positive, or on NaN.
     """
     n = cols.n
     s1, s2, s3, s4 = cols.sums[:4]
     vt = s2 - s1 * s1 / n
     if not vt > 0:
-        return None
-    ct = s3 - s1 * s2 / n
+        return False
+    ct = s3 - s1 * s2 / n  # Σ(t - mean t)(t² - mean t²)
     vt2 = s4 - s2 * s2 / n  # Σ(t² - mean t²)²
     vq = vt2 - ct * ct / vt
     if not vq > 0:
-        return None
+        return False
     kappa = s2 / vt * (s4 / vq)
-    # kappa_x² <= trace(G) * trace(G^-1); det G = n*vt*vq, and s2*s4 bounds
-    # the cofactor s2*s4 - s3²
     kappa_x2 = (n + s2 + s4) * (n * (vt + vt2) + s2 * s4) / n / vt / vq
     limit = _KAPPA_MAX / n
-    return (vt, ct, vq) if kappa <= limit and kappa_x2 <= limit * limit else None  # None on NaN
+    return kappa <= limit and kappa_x2 <= limit * limit
 
 
-def _log_t_pivot(cols: _Columns) -> float | None:
-    """vx = Σ(log t - mean log t)² if the points are positive and the guards
-    of :func:`_approximate_sse` hold for ``[1, log t]``, else None.
+def _log_t_pivot(cols: _Columns) -> bool:
+    """Whether the points are positive and ``[1, log t]`` passes the
+    conditioning test of :meth:`_Columns.reaches`, as :func:`_t_pivots`
+    tests ``[1, t, t^2]`` with x = log t in place of t.
 
-    They hold while n * max(kappa, kappa_x) * (1 + ||log u||) <= :data:`_KAPPA_MAX`.
+    The limit is also divided by 1 + ||log u||, a margin beyond what the
+    mean of the fitted logs needs: unlike u, log u has no fixed range.
     """
     if not cols.positive:
-        return None
+        return False
     n = cols.n
-    x1, x2, _, _, y2 = cols.log_sums
+    x1, x2, _, y2 = cols.log_sums
     vx = x2 - x1 * x1 / n
     if not vx > 0:
-        return None
+        return False
     limit = _KAPPA_MAX / (n * (1.0 + math.sqrt(y2)))
-    kappa, kappa_x2 = x2 / vx, (n + x2) * (n + x2) / (n * vx)  # as for [1, t, t²]
-    return vx if kappa <= limit and kappa_x2 <= limit * limit else None
-
-
-def _candidates(cols: _Columns) -> list[str]:
-    """The admissible families, in :data:`FAMILIES` order, whose exact fit may
-    have the lowest SSE or tie with it.
-
-    A family is left out only when :func:`_approximate_sse` shows that its
-    SSE exceeds another family's by more than ``SSE_TIE_EPS``: then it is
-    neither the minimum nor tied with it, and raises nothing.
-    """
-    admissible = FAMILIES if cols.positive else ("linear", "quadratic")
-    approx = _approximate_sse(cols)
-    if not approx:
-        return admissible
-    cut = min([sse + guard for sse, guard in approx.values()]) + SSE_TIE_EPS
-    return [f for f in admissible if f not in approx or not approx[f][0] - approx[f][1] > cut]
+    kappa, kappa_x2 = x2 / vx, (n + x2) * (n + x2) / (n * vx)
+    return kappa <= limit and kappa_x2 <= limit * limit
 
 
 @np.errstate(all="ignore")  # a fit that fails gives NaN or inf, and DegenerateDataError
 def select_model(series: ObservationSeries | _Columns) -> RegressionFit:
-    """Fit every admissible family that can win and keep the lowest SSE.
+    """Fit every admissible family and keep the lowest SSE.
 
     Takes a series, or the columns a :class:`PredictorState` grew. Power is
     only admissible on strictly positive data. SSE ties (within 1e-9) go to
-    the simpler family: linear < power < quadratic. Only the families
-    :func:`_candidates` keeps are fitted; the result, and any error raised,
-    is that of fitting every admissible family.
+    the simpler family: linear < power < quadratic. The first family whose
+    fit fails raises its error.
     """
     if len(series) < _MIN_POINTS["quadratic"]:
         raise DegenerateDataError("model selection needs at least 3 points")
     cols = series if isinstance(series, _Columns) else series.columns
-    fits = [_fit(f, cols) for f in _candidates(cols)]  # simplest family first
+    admissible = FAMILIES if cols.positive else ("linear", "quadratic")
+    fits = [_fit(f, cols) for f in admissible]  # simplest family first
     # a power fit whose a underflows to 0 can give a NaN SSE, which never wins
     best_sse = min([fit.sse for fit in fits if not math.isnan(fit.sse)])
     return next(fit for fit in fits if fit.sse <= best_sse + SSE_TIE_EPS)

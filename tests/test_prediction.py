@@ -21,8 +21,6 @@ from negosim.prediction import (
     FAMILIES,
     SSE_TIE_EPS,
     _Columns,
-    _approximate_sse,
-    _candidates,
     _fit,
     _lstsq,
     advise,
@@ -840,6 +838,17 @@ def test_reaches_declines_a_flat_series_at_the_level(level):
         assert cols.reaches(level - 0.01)
 
 
+@pytest.mark.parametrize("first", [80.0, 0.0])  # with a 0, power is inadmissible
+def test_reaches_declines_an_ill_conditioned_design(first):
+    # the mean clears the level by far, but times packed within 1e-9 make
+    # [1, t, t²] too ill-conditioned for the guard to cover gelsd's error
+    us = [first] + [80.0 + (-1) ** i * 0.5 * i for i in range(1, 10)]
+    packed = _Columns([(0.5 + i * 1e-10, u) for i, u in enumerate(us)])
+    assert sum(packed.u) / len(packed) > 70.0
+    assert not packed.reaches(50.0)
+    assert _Columns([(0.05 + i / 10, u) for i, u in enumerate(us)]).reaches(50.0)
+
+
 # --- select_model against a reference that fits every admissible family -----
 
 
@@ -906,18 +915,12 @@ def bits(outcome):
     return outcome
 
 
-def check_against_reference(cols: _Columns) -> dict:
+def check_against_reference(cols: _Columns) -> None:
     """Assert that select_model gives the reference's fit, or raises its error
-    type, bit for bit, and that each SSE estimate lies within its guard of
-    the exact SSE; return the estimates."""
+    type, bit for bit."""
     fits = reference_fits(cols.t.copy(), cols.u.copy())
     got = fit_or_error(cols)
     assert bits(got) == bits(reference_select_model(fits)), (cols.t.tolist(), cols.u.tolist())
-    with np.errstate(all="ignore"):
-        approx = _approximate_sse(cols)
-    for family, (sse, guard) in approx.items():
-        assert abs(sse - fits[family][3]) <= guard, (family, cols.t.tolist(), cols.u.tolist())
-    return approx
 
 
 def test_select_model_matches_the_reference_on_every_long_horizon_fit(monkeypatch):
@@ -926,16 +929,14 @@ def test_select_model_matches_the_reference_on_every_long_horizon_fit(monkeypatc
     from perfbench import workloads
 
     live_advise = protocol.advise
-    checked, solves = 0, 0
+    checked = 0
 
     def checked_advise(state, incoming, table):
-        nonlocal checked, solves
+        nonlocal checked
         advice = live_advise(state, incoming, table)
         cols = state.columns
         if state.mode == "active" and cols.problem is None:
             checked += 1
-            with np.errstate(all="ignore"):
-                solves += len(_candidates(cols))
             check_against_reference(cols)
         return advice
 
@@ -944,7 +945,6 @@ def test_select_model_matches_the_reference_on_every_long_horizon_fit(monkeypatc
     for key in range(workload.units):
         workload.run(key)
     assert checked > 20_000
-    assert solves < 1.1 * checked  # fitting all would take more than 2 solves per series
 
 
 def test_long_horizon_fits_rarely_and_ends_the_same_sessions(monkeypatch):
@@ -994,18 +994,15 @@ def test_select_model_matches_the_reference_on_hard_series():
         [(0.0, 3.0), (1.0, 4.0), (2.0, 11.0), (3.0, 24.0)],  # t = 0: power is inadmissible
         [(1.0, 0.0), (2.0, 6.0), (3.0, 12.0), (4.0, 13.0)],  # u = 0: likewise
         [(1.0, 10.0), (math.nextafter(1.0, 2.0), 15.0), (1.5, 20.0)],  # times one ulp apart
-        # power's a underflows to 0 and t**b overflows, so its SSE is NaN, and
-        # linear, far worse than quadratic, is not fitted
+        # power's a underflows to 0 and t**b overflows, so its SSE is NaN
         [(0.3, 100.0), (0.375, 1e-150), (0.45, 1e-300)],
         [(10**100, 10), (2 * 10**100, 20), (3 * 10**100, 50)],  # t^4 is too large a float
     ]
-    closed = 0
     for points in cases:
-        closed += not check_against_reference(_Columns(points))
+        check_against_reference(_Columns(points))
     times = [np.array([t for t, _ in points], dtype=float) for points in cases]
     conditions = [np.linalg.cond(np.column_stack([np.ones(len(t)), t, t * t])) for t in times]
     assert sorted(conditions)[-10] > 1e6  # kappa(XᵀX) = kappa(X)² passes 1e12
-    assert 0 < closed < len(cases)  # some estimates are refused, others used
 
 
 def near_tie_cases(rng, count):
