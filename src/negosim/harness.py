@@ -229,6 +229,11 @@ def load_scenario(path: str | Path) -> Scenario:
                 violations.append(f"coordination suppliers must be a list, got {suppliers!r}")
             elif missing or not supplier_ids:
                 violations.append(f"coordination suppliers invalid or empty (unknown: {missing})")
+            if buyer_id in supplier_ids:
+                violations.append(f"coordination suppliers must not name the buyer {buyer_id!r}")
+            repeated = [s for i, s in enumerate(supplier_ids) if s in supplier_ids[:i]]
+            if repeated:  # not a set: an entry may be an unhashable YAML list or mapping
+                violations.append(f"coordination suppliers must be unique (repeated: {repeated})")
             try:
                 plan = CoordinationPlan(
                     strategy=coord.get("strategy", ""), theta=coord.get("theta")

@@ -258,7 +258,9 @@ class MixedTactic(Tactic):
 
     def __post_init__(self) -> None:
         weights = [w for w, _ in self.components]
-        if not weights or not all(w >= 0 for w in weights):
+        if not weights:
+            raise ParameterError("a mixture needs at least one part")
+        if not all(w >= 0 for w in weights):
             raise ParameterError("mixture weights must be non-negative")
         total = float_sum(weights)
         if abs(total - 1.0) > 1e-9:

@@ -221,6 +221,9 @@ class TestLoadScenario:
             (("coordination", "theta"), math.nan, "theta must be"),
             (("coordination", "theta"), -1, "theta must be"),
             (("coordination", "suppliers"), 5, "suppliers must be a list"),
+            (("coordination", "suppliers"), ["b", "a"], "suppliers must not name the buyer 'b'"),
+            (("coordination", "suppliers"), ["a", "a"], "suppliers must be unique (repeated: ['a'])"),
+            (("coordination", "suppliers"), [["a"], ["a"]], "suppliers must be unique"),
             (("coordination", "theta"), 10**400, "theta must be"),
             (("agents", 0, "ratings", "price", "high"), 10**400, "rating for option 'high'"),
             (("agents", 0, "tactic"), {"family": "time-dependent", "beta": 10**400}, "beta must be"),
@@ -310,6 +313,9 @@ class TestLoadScenario:
             "theta-nan",
             "theta-negative",
             "suppliers-int",
+            "suppliers-name-the-buyer",
+            "suppliers-repeated",
+            "suppliers-repeated-unhashable",
             "theta-int-beyond-float",
             "rating-int-beyond-float",
             "beta-int-beyond-float",

@@ -512,6 +512,11 @@ class TestTacticFromDict:
         with pytest.raises(ParameterError):
             tactic_from_dict({"family": "psychic"})
 
+    @pytest.mark.parametrize("raw", [{"family": "mixed"}, {"family": "mixed", "mixture": []}])
+    def test_mixture_without_parts_rejected(self, raw):
+        with pytest.raises(ParameterError, match="^a mixture needs at least one part$"):
+            tactic_from_dict(raw)
+
 
 @pytest.mark.parametrize(
     "make",
