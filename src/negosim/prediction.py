@@ -79,62 +79,43 @@ class RegressionFit:
     c: float = 0.0
 
 
-# rows of a _Columns buffer; each family's design matrix is a run of adjacent rows
-_ONE, _T, _T2, _ONE_LOG, _LOG_T, _U, _LOG_U = range(7)
-_LINEAR, _QUADRATIC, _POWER = slice(_ONE, _T2), slice(_ONE, _ONE_LOG), slice(_ONE_LOG, _U)
 _EPS = np.finfo(np.float64).eps
 _KAPPA_MAX = _MEAN_GUARD / (64 * _EPS)  # about 7.0e6: n * kappa up to which _MEAN_GUARD holds
 
 
 class _Columns:
-    """The arrays every family's fit reads, grown by doubling as points arrive.
+    """The points every family's fit reads, with running sums of them.
 
-    Each point adds ``[1, t, t^2]`` and ``u``, and, while every point so far
-    has t > 0 and u > 0 (the power family's domain), ``[1, log t]`` and
-    ``log u``; the logs are filled in when a power fit first reads them.
-    Each quantity is one contiguous buffer row: numpy may take another code
-    path for ``**`` and ``log`` on strided input, and the fits must see the
-    floats a one-shot build of the same points gives. The properties are
-    views of the first ``n`` columns; each design matrix is a transposed
-    run of rows.
-
-    ``sums`` holds the running sums (Σt, Σt², Σt³, Σt⁴, Σu, Σu²) and, while
-    the points are positive, ``log_sums`` holds (Σx, Σx², Σy, Σy²) for
-    x = log t and y = log u; :meth:`reaches` reads them.
-    ``problem`` is None while every stored point is valid, else the first
-    series rule a point broke; each point is checked as it is stored.
+    ``times`` and ``utilities`` hold the points as floats, in the order
+    they arrived; each fit builds its arrays from them. ``sums`` holds the
+    running sums (Σt, Σt², Σt³, Σt⁴, Σu, Σu²) and, while every point has
+    t > 0 and u > 0 (the power family's domain, ``positive``),
+    ``log_sums`` holds (Σx, Σx², Σy, Σy²) for x = log t and y = log u;
+    :meth:`reaches` reads them. ``problem`` is None while every stored
+    point is valid, else the first series rule a point broke; each point
+    is checked as it is stored.
     """
 
     def __init__(self, points=()):
-        self.n = 0
+        self.times: list[float] = []
+        self.utilities: list[float] = []
         self.positive = True
         self.problem: str | None = None
-        self.latest = -math.inf  # the last point's time
         self.sums = (0.0,) * 6
         self.log_sums = (0.0,) * 4
-        self._logged = 0  # columns whose log rows are filled in
-        self._buf = self._allocate(16)
         self.extend(points)
 
-    @staticmethod
-    def _allocate(capacity: int) -> np.ndarray:
-        buf = np.empty((7, capacity))
-        buf[[_ONE, _ONE_LOG]] = 1.0
-        return buf
+    @property
+    def latest(self) -> float:
+        """The last point's time."""
+        return self.times[-1] if self.times else -math.inf
 
     def extend(self, points) -> None:
-        lo, hi = self.n, self.n + len(points)
-        if hi > self._buf.shape[1]:
-            capacity = self._buf.shape[1]
-            while capacity < hi:
-                capacity *= 2
-            grown = self._allocate(capacity)
-            grown[:, :lo] = self._buf[:, :lo]
-            self._buf = grown
-        buf, positive, problem, latest = self._buf, self.positive, self.problem, self.latest
+        times, utilities = self.times, self.utilities
+        positive, problem, latest = self.positive, self.problem, self.latest
         s1, s2, s3, s4, su, suu = self.sums
         x1, x2, y1, y2 = self.log_sums
-        for i, (t, u) in enumerate(points, lo):
+        for t, u in points:
             t, u = _float(t), _float(u)
             if problem is None:
                 if not math.isfinite(t):
@@ -144,8 +125,9 @@ class _Columns:
                 elif not 0 <= u <= 100:
                     problem = "observed utilities must lie in [0, 100]"
             latest = t
-            t2 = t * t  # numpy's t**2, bit for bit
-            buf[_T, i], buf[_T2, i], buf[_U, i] = t, t2, u
+            times.append(t)
+            utilities.append(u)
+            t2 = t * t
             s1, s2, s3, s4 = s1 + t, s2 + t2, s3 + t2 * t, s4 + t2 * t2
             su, suu = su + u, suu + u * u
             positive = positive and not (t <= 0 or u <= 0)
@@ -154,17 +136,7 @@ class _Columns:
                 x1, x2, y1, y2 = x1 + x, x2 + x * x, y1 + y, y2 + y * y
         self.sums = s1, s2, s3, s4, su, suu
         self.log_sums = x1, x2, y1, y2
-        self.positive, self.problem, self.latest = positive, problem, latest
-        self.n = hi
-
-    def _logs(self) -> np.ndarray:
-        """The buffer, its log rows filled in up to ``n`` (meaningful while positive)."""
-        lo, hi, buf = self._logged, self.n, self._buf
-        if hi > lo:
-            np.log(buf[_T, lo:hi], out=buf[_LOG_T, lo:hi])
-            np.log(buf[_U, lo:hi], out=buf[_LOG_U, lo:hi])
-            self._logged = hi
-        return buf
+        self.positive, self.problem = positive, problem
 
     def reaches(self, level: float) -> bool:
         """True only if every admissible family's fit reaches ``level`` by
@@ -197,8 +169,8 @@ class _Columns:
         False. False also for a series that broke a rule, fewer than three
         distinct times, or a time outside [0, 1].
         """
-        n = self.n
-        if self.problem is not None or n < 3 or not 0.0 <= self._buf[_T, 0] <= self.latest <= 1.0:
+        n = len(self.times)
+        if self.problem is not None or n < 3 or not 0.0 <= self.times[0] <= self.times[-1] <= 1.0:
             return False
         su, suu = self.sums[4:]
         if not _t_pivots(self) or not su / n >= level + _MEAN_GUARD * (1.0 + math.sqrt(suu / n)):
@@ -209,16 +181,8 @@ class _Columns:
         guard = _MEAN_GUARD * (1.0 + math.sqrt(y2 / n))
         return _log_t_pivot(self) and y1 / n >= math.log(level) + guard
 
-    t = property(lambda self: self._buf[_T, : self.n])
-    t2 = property(lambda self: self._buf[_T2, : self.n])
-    u = property(lambda self: self._buf[_U, : self.n])
-    linear = property(lambda self: self._buf[_LINEAR, : self.n].T)
-    quadratic = property(lambda self: self._buf[_QUADRATIC, : self.n].T)
-    power = property(lambda self: self._logs()[_POWER, : self.n].T)
-    log_u = property(lambda self: self._logs()[_LOG_U, : self.n])
-
     def __len__(self) -> int:
-        return self.n
+        return len(self.times)
 
 
 def _float(value) -> float:
@@ -254,24 +218,24 @@ def fit_regression(series: ObservationSeries, family: str) -> RegressionFit:
         raise DegenerateDataError(
             f"{family} fit needs >= {_MIN_POINTS[family]} points, got {n}"
         )
+    cols = series.columns
+    if family == "power" and not cols.positive:
+        raise RegressionDomainError("power fit needs all t > 0 and all u > 0")
     with np.errstate(all="ignore"):
-        return _fit(family, series.columns)
+        return _fit(family, np.array(cols.times), np.array(cols.utilities))
 
 
-def _fit(family: str, cols: _Columns) -> RegressionFit:
-    """One family's least-squares fit to the points of ``cols``."""
-    t, u = cols.t, cols.u
+def _fit(family: str, t: np.ndarray, u: np.ndarray) -> RegressionFit:
+    """One family's least-squares fit to the points (t, u); power needs them positive."""
     if family == "linear":
-        a, b = _lstsq(cols.linear, u).tolist()
+        a, b = _lstsq(np.vander(t, 2, increasing=True), u).tolist()
         c = 0.0
         pred = b * t + a
     elif family == "quadratic":
-        c, b, a = _lstsq(cols.quadratic, u).tolist()
-        pred = a * cols.t2 + b * t + c
+        c, b, a = _lstsq(np.vander(t, 3, increasing=True), u).tolist()
+        pred = a * t**2 + b * t + c
     else:  # power, via log-log linearization
-        if not cols.positive:
-            raise RegressionDomainError("power fit needs all t > 0 and all u > 0")
-        log_a, b = _lstsq(cols.power, cols.log_u).tolist()
+        log_a, b = _lstsq(np.vander(np.log(t), 2, increasing=True), np.log(u)).tolist()
         try:
             a, c = math.exp(log_a), 0.0
         except OverflowError:  # past about 709; NaN and -inf pass through to the check below
@@ -298,7 +262,7 @@ def _t_pivots(cols: _Columns) -> bool:
     then the bound on kappa_x is itself accurate. False when a pivot is not
     positive, or on NaN.
     """
-    n = cols.n
+    n = len(cols)
     s1, s2, s3, s4 = cols.sums[:4]
     vt = s2 - s1 * s1 / n
     if not vt > 0:
@@ -324,7 +288,7 @@ def _log_t_pivot(cols: _Columns) -> bool:
     """
     if not cols.positive:
         return False
-    n = cols.n
+    n = len(cols)
     x1, x2, _, y2 = cols.log_sums
     vx = x2 - x1 * x1 / n
     if not vx > 0:
@@ -347,7 +311,8 @@ def select_model(series: ObservationSeries | _Columns) -> RegressionFit:
         raise DegenerateDataError("model selection needs at least 3 points")
     cols = series if isinstance(series, _Columns) else series.columns
     admissible = FAMILIES if cols.positive else ("linear", "quadratic")
-    fits = [_fit(f, cols) for f in admissible]  # simplest family first
+    t, u = np.array(cols.times), np.array(cols.utilities)
+    fits = [_fit(f, t, u) for f in admissible]  # simplest family first
     # a power fit whose a underflows to 0 can give a NaN SSE, which never wins
     best_sse = min([fit.sse for fit in fits if not math.isnan(fit.sse)])
     return next(fit for fit in fits if fit.sse <= best_sse + SSE_TIE_EPS)
