@@ -238,6 +238,8 @@ def validate_profile(profile: PreferenceProfile, check_weights: bool = True) -> 
                 violations.append(f"issue {issue.name!r} has no weight")
     if profile.deadline <= 0:
         violations.append(f"deadline {profile.deadline} must be > 0")
+    elif profile.deadline > sys.float_info.max:  # round / deadline would be 0.0 for every round
+        violations.append(f"deadline must be at most {sys.float_info.max:g}, the float range")
     reservation = profile.reservation_utility
     if reservation is not None and not 0.0 <= reservation <= 100.0:  # also rejects NaN
         violations.append(f"reservation_utility {reservation:g} must be in [0, 100]")

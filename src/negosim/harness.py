@@ -201,7 +201,10 @@ def load_scenario(path: str | Path) -> Scenario:
         spec = _load_agent(entry, alphabet, declared, violations)
         if spec is not None:
             agents.append(spec)
-    ids = [spec.id for spec in agents]
+    # every named agent, so one whose profile did not build is not also reported undeclared
+    ids = [
+        entry["id"] for entry in agents_raw if isinstance(entry, dict) and _is_name(entry.get("id"))
+    ]
     if len(ids) != len(set(ids)):
         violations.append("agent ids must be unique")
 
@@ -600,7 +603,7 @@ def yaml_text(data) -> str:
 
 
 def _write_new(path: Path, text: str) -> None:
-    """Write ``text`` to ``path``, replacing a regular file there instead of truncating it.
+    """Write ``text`` to ``path`` in UTF-8, replacing a regular file instead of truncating it.
 
     ext4, XFS and btrfs start writeback when a file truncated to zero is
     closed; a new file skips that. A hard link to the old file keeps the old
@@ -611,4 +614,4 @@ def _write_new(path: Path, text: str) -> None:
             path.unlink()
     except FileNotFoundError:
         pass
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")

@@ -170,7 +170,7 @@ class _Columns:
         distinct times, or a time outside [0, 1].
         """
         n = len(self.times)
-        if self.problem is not None or n < 3 or not 0.0 <= self.times[0] <= self.times[-1] <= 1.0:
+        if self.problem is not None or n < 3 or not 0.0 <= self.times[0] <= self.latest <= 1.0:
             return False
         su, suu = self.sums[4:]
         if not _t_pivots(self) or not su / n >= level + _MEAN_GUARD * (1.0 + math.sqrt(suu / n)):

@@ -80,9 +80,10 @@ def write_scenario(tmp_path, raw, name="test.scenario"):
     return path
 
 
-def negosim_module(cwd, *args):
-    """``python -m negosim *args``, as a user runs it, in a fresh interpreter."""
-    env = {**os.environ, "PYTHONPATH": str(Path(negosim.__file__).parent.parent)}
+def negosim_module(cwd, *args, env=()):
+    """``python -m negosim *args``, as a user runs it, in a fresh interpreter;
+    ``env`` adds to or overrides the environment."""
+    env = {**os.environ, "PYTHONPATH": str(Path(negosim.__file__).parent.parent), **dict(env)}
     return subprocess.run(
         [sys.executable, "-m", "negosim", *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
@@ -227,6 +228,7 @@ class TestLoadScenario:
             (("coordination", "theta"), 10**400, "theta must be"),
             (("agents", 0, "ratings", "price", "high"), 10**400, "rating for option 'high'"),
             (("agents", 0, "tactic"), {"family": "time-dependent", "beta": 10**400}, "beta must be"),
+            (("agents", 0, "deadline"), 10**400, "'a': deadline must be at most 1.79769e+308"),
             (("agents", 0, "id"), 1, "agent id must be a non-empty string, got 1"),
             (("agents", 0, "id"), [1, 2], "agent id must be a non-empty string, got [1, 2]"),
             (("agents", 0, "id"), None, "agent id must be a non-empty string, got None"),
@@ -319,6 +321,7 @@ class TestLoadScenario:
             "theta-int-beyond-float",
             "rating-int-beyond-float",
             "beta-int-beyond-float",
+            "deadline-int-beyond-float",
             "id-int",
             "id-list",
             "id-null",
@@ -360,6 +363,27 @@ class TestLoadScenario:
         assert isinstance(result.exception, SystemExit)  # a ClickException, not a crash
         assert result.exit_code != 0
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize(
+        "base, second_id, listed",
+        [
+            (MINIMAL_MARKET, "b", ["profile 'b': weights sum 50 is not 100"]),
+            (MINIMAL, "b", ["profile 'b': weights sum 50 is not 100"]),
+            (
+                {**MINIMAL, "opener": "a"},
+                "a",
+                ["profile 'a': weights sum 50 is not 100", "agent ids must be unique"],
+            ),
+        ],
+        ids=["coordination-buyer", "opener", "repeated-id"],
+    )
+    def test_agent_whose_profile_fails_is_still_declared(self, tmp_path, base, second_id, listed):
+        # the buyer, opener and unique-id checks see every named agent, built or not
+        raw = copy.deepcopy(base)
+        raw["agents"][1].update(id=second_id, weights={"price": 50})
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(write_scenario(tmp_path, raw))
+        assert exc.value.violations == listed
 
     def test_ratings_of_a_malformed_issue_are_not_reported_again(self, tmp_path):
         raw = copy.deepcopy(MINIMAL)
@@ -693,13 +717,15 @@ class TestCli:
             load_scenario(path)  # library callers still get the warning itself
 
     def test_deadline_past_the_float_range_with_a_resource_dependent_tactic(self, tmp_path):
-        # the rounds left are an int past the float range: the concession has not begun
+        # round / deadline would be 0.0 at every round, so the predictor would see no time pass
         raw = copy.deepcopy(MINIMAL)
         raw["agents"][0]["deadline"] = 10**400
         raw["agents"][0]["tactic"] = {"family": "resource-dependent", "k": 0.0}
-        result = CliRunner().invoke(main, ["run", "--scenario", str(write_scenario(tmp_path, raw))])
-        assert result.exit_code == 0, result.output
-        assert result.output.startswith("outcome: ")
+        done = negosim_module(tmp_path, "run", "--scenario", str(write_scenario(tmp_path, raw)))
+        assert done.returncode != 0
+        assert "Traceback" not in done.stdout + done.stderr
+        listed = [line for line in done.stderr.splitlines() if line.startswith("  - ")]
+        assert listed == ["  - agent 'a': deadline must be at most 1.79769e+308, the float range"]
 
     def test_missing_scenario_exits_nonzero(self):
         runner = CliRunner()
@@ -856,6 +882,21 @@ class TestYamlText:
 
 
 class TestOutputFiles:
+    def test_outputs_are_utf8_whatever_the_locale(self, tmp_path):
+        raw = copy.deepcopy(MINIMAL)
+        raw["issues"][0]["options"] = ["low", "mid", "caf\u00e9"]
+        for agent in raw["agents"]:
+            agent["ratings"]["price"]["caf\u00e9"] = agent["ratings"]["price"].pop("high")
+        path = write_scenario(tmp_path, raw)
+        ascii_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        for out, env in (("default", {}), ("ascii", ascii_locale)):
+            args = ("run", "--scenario", str(path), "--out", out, "--trace")
+            done = negosim_module(tmp_path, *args, env=env)
+            assert done.returncode == 0, done.stderr
+        csv = (tmp_path / "default" / "session_0000.csv").read_bytes()
+        assert "caf\u00e9".encode() in csv
+        assert (tmp_path / "ascii" / "session_0000.csv").read_bytes() == csv
+
     def test_rewrite_replaces_every_output_with_a_new_file(self, aircraft_scenario, tmp_path):
         out, kept, fresh = tmp_path / "out", tmp_path / "kept", tmp_path / "fresh"
         kept.mkdir()
