@@ -125,14 +125,20 @@ def run_one_to_many(
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     predictor_config=None,
     divergence_window: int = DEFAULT_DIVERGENCE_WINDOW,
+    tables: dict | None = None,
 ) -> tuple[ContractChoice | None, list[SubBuyerResult], list[SessionTrace]]:
     """Run every sub-buyer thread, then coordinate.
 
     The buyer opens every thread. A losing thread still running when the
     coordinator commits gets the commit round as its ``cancelled_at``.
+    ``tables`` is :func:`~negosim.protocol.run_session`'s, passed to every
+    thread; left ``None``, the threads share a dict of this call's own, so
+    the buyer's offer table is built once per market and freed on return.
     """
     if not suppliers:
         raise PlanError("one-to-many mode needs at least one supplier")
+    if tables is None:
+        tables = {}
     results: list[SubBuyerResult] = []
     traces: list[SessionTrace] = []
     for thread_id, (supplier_profile, supplier_tactic) in enumerate(suppliers):
@@ -144,6 +150,7 @@ def run_one_to_many(
             predictor_config=predictor_config,
             max_rounds=max_rounds,
             divergence_window=divergence_window,
+            tables=tables,
         )
         utility = None
         if outcome.kind == "agreement":

@@ -236,8 +236,10 @@ def validate_profile(profile: PreferenceProfile, check_weights: bool = True) -> 
         for issue in profile.issues:
             if issue.name not in profile.weights:
                 violations.append(f"issue {issue.name!r} has no weight")
-    if profile.deadline <= 0:
-        violations.append(f"deadline {profile.deadline} must be > 0")
+    if profile.deadline < -sys.float_info.max:  # an integer too long to list
+        violations.append(f"deadline must be > 0, got one below -{sys.float_info.max:g}")
+    elif profile.deadline <= 0:
+        violations.append(f"deadline {profile.deadline:g} must be > 0")
     elif profile.deadline > sys.float_info.max:  # round / deadline would be 0.0 for every round
         violations.append(f"deadline must be at most {sys.float_info.max:g}, the float range")
     reservation = profile.reservation_utility

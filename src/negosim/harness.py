@@ -413,7 +413,9 @@ class BatchResult:
     records: tuple[SessionRecord, ...]
 
 
-def _run_bilateral(scenario: Scenario, index: int, a: AgentSpec, b: AgentSpec) -> SessionRecord:
+def _run_bilateral(
+    scenario: Scenario, index: int, a: AgentSpec, b: AgentSpec, tables: dict | None = None
+) -> SessionRecord:
     outcome, trace = run_session(
         a.profile,
         b.profile,
@@ -423,13 +425,14 @@ def _run_bilateral(scenario: Scenario, index: int, a: AgentSpec, b: AgentSpec) -
         max_rounds=scenario.max_rounds,
         opener=scenario.opener,
         divergence_window=scenario.divergence_window,
+        tables=tables,
     )
     return SessionRecord(
         index=index, outcome=outcome, traces=((f"session_{index:04d}", trace),)
     )
 
 
-def _run_one_to_many(scenario: Scenario, index: int) -> SessionRecord:
+def _run_one_to_many(scenario: Scenario, index: int, tables: dict) -> SessionRecord:
     buyer = scenario.agent(scenario.buyer_id)
     suppliers = [scenario.agent(s) for s in scenario.supplier_ids]
     choice, results, traces = run_one_to_many(
@@ -440,6 +443,7 @@ def _run_one_to_many(scenario: Scenario, index: int) -> SessionRecord:
         max_rounds=scenario.max_rounds,
         predictor_config={spec.id: spec.predictor for spec in scenario.agents},
         divergence_window=scenario.divergence_window,
+        tables=tables,
     )
     if choice is not None:
         utilities = results[choice.thread_id].outcome.utilities
@@ -463,15 +467,22 @@ def _run_one_to_many(scenario: Scenario, index: int) -> SessionRecord:
 
 
 def run_batch(scenario: Scenario, n_sessions: int) -> BatchResult:
-    """Run ``n_sessions`` deterministic sessions and aggregate the results."""
+    """Run ``n_sessions`` deterministic sessions and aggregate the results.
+
+    Every session plays the scenario's profile objects, so they share one
+    offer table per profile (``run_session``'s ``tables``): a repeated pick
+    is decoded, and an offer scored, once per batch. The tables are freed
+    when this call returns; the result holds only the records.
+    """
     if not is_int(n_sessions) or n_sessions < 1:
         raise NegotiationError(f"n_sessions must be an integer >= 1, got {n_sessions!r}")
     records = []
+    tables = {}
     for i in range(n_sessions):
         if scenario.mode == "bilateral":
-            records.append(_run_bilateral(scenario, i, *scenario.agents))
+            records.append(_run_bilateral(scenario, i, *scenario.agents, tables=tables))
         else:
-            records.append(_run_one_to_many(scenario, i))
+            records.append(_run_one_to_many(scenario, i, tables))
     return BatchResult(stats=_aggregate(scenario, records), records=tuple(records))
 
 

@@ -196,6 +196,7 @@ def run_session(
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     opener: str | None = None,
     divergence_window: int = DEFAULT_DIVERGENCE_WINDOW,
+    tables: dict | None = None,
 ) -> tuple[SessionOutcome, SessionTrace]:
     """Run one bilateral session to completion.
 
@@ -210,6 +211,14 @@ def run_session(
     Each party's :class:`~negosim.tactics.OfferTable` is built before round 0,
     so a profile it rejects raises :class:`~negosim.domain.InvalidProfileError`
     even when no round is played.
+
+    ``tables`` is a dict the caller keeps across sessions over the same
+    profile objects: a party's table is ``tables[id(profile)]`` when that
+    table's ``profile`` is the party's profile, and is otherwise built and
+    stored there. Left ``None``, the dict is this call's own, so a lone
+    session keeps no table. The tables live as long as the caller's dict,
+    and so does every offer they scored, a custom tactic's fresh offers
+    among them.
     """
     _check_alphabets(profile_a, profile_b)
     ids = (profile_a.agent_id, profile_b.agent_id)
@@ -222,6 +231,8 @@ def run_session(
     for problem in settings_problems(max_rounds, divergence_window):
         raise SetupError(problem)
 
+    if tables is None:
+        tables = {}
     # per party, opener first: its offer table, its tactic and its predictor
     sides = []
     for profile, tactic in ((profile_a, tactic_a), (profile_b, tactic_b)):
@@ -229,7 +240,10 @@ def run_session(
         if isinstance(config, Mapping):
             config = config.get(profile.agent_id)
         predictor = PredictorState(config) if config is not None and config.enabled else None
-        sides.append((OfferTable(profile), tactic, predictor))
+        table = tables.get(id(profile))
+        if table is None or table.profile is not profile:
+            table = tables[id(profile)] = OfferTable(profile)
+        sides.append((table, tactic, predictor))
     if opener != ids[0]:
         sides.reverse()
 

@@ -95,14 +95,17 @@ def _zero_free_space(profile: PreferenceProfile) -> tuple[list, np.ndarray]:
 
 
 class OfferTable:
-    """One party's constants for one session: its profile, its reservation
-    utility and its zero-free offer space sorted by utility. A session
-    builds one per party before round 0 and hands it to that party's tactic.
+    """One profile's constants: its profile, its reservation utility and its
+    zero-free offer space sorted by utility. A session gets one per party
+    before round 0 and hands it to that party's tactic; the sessions of one
+    batch, and the threads of one market, share each profile's table.
 
     The sort is stable over the C-order (lexicographic) flattening, so among
     equal utilities the smallest label vector comes first. For its own life
     the table also keeps each offer it has served and each utility it has
     given, so a repeated pick or a rescored offer is one dictionary lookup.
+    Both are pure functions of the profile, so sharing a table changes no
+    session.
     """
 
     def __init__(self, profile: PreferenceProfile):

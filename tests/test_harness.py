@@ -727,6 +727,16 @@ class TestCli:
         listed = [line for line in done.stderr.splitlines() if line.startswith("  - ")]
         assert listed == ["  - agent 'a': deadline must be at most 1.79769e+308, the float range"]
 
+    def test_deadline_far_below_zero_is_one_short_line(self, tmp_path):
+        raw = copy.deepcopy(MINIMAL)
+        raw["agents"][0]["deadline"] = -(10**400)
+        done = negosim_module(tmp_path, "run", "--scenario", str(write_scenario(tmp_path, raw)))
+        assert done.returncode != 0
+        assert "Traceback" not in done.stdout + done.stderr
+        listed = [line for line in done.stderr.splitlines() if line.startswith("  - ")]
+        assert len(listed) == 1 and len(listed[0]) < 200, listed
+        assert "deadline must be > 0" in listed[0]
+
     def test_missing_scenario_exits_nonzero(self):
         runner = CliRunner()
         result = runner.invoke(main, ["run", "--scenario", "/no/such/file.scenario"])

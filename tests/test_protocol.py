@@ -1,8 +1,10 @@
 import random
+import weakref
 from dataclasses import replace
 
 import pytest
 
+from negosim import protocol
 from negosim.coordination import CoordinationPlan, run_one_to_many
 from negosim.domain import (
     InvalidProfileError,
@@ -13,6 +15,7 @@ from negosim.domain import (
     reservation_utility,
     total_profit,
 )
+from negosim.harness import bundled_scenario, load_scenario, run_batch
 from negosim.prediction import PredictorConfig
 from negosim.protocol import (
     Accept,
@@ -458,3 +461,113 @@ def test_session_properties_randomized():
                 floor = reservation_utility(profiles[row.proposer]) - 1e-9
                 assert row.utility_proposer >= floor, row
     assert kinds == {"agreement", "withdrawal", "early-termination", "deadline-expiry"}
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """(agent id, weak reference) for every OfferTable run_session builds, in order."""
+    tables = []
+
+    class Recorded(OfferTable):
+        def __init__(self, profile):
+            super().__init__(profile)
+            tables.append((profile.agent_id, weakref.ref(self)))
+
+    monkeypatch.setattr(protocol, "OfferTable", Recorded)
+    return tables
+
+
+@pytest.mark.parametrize(
+    "name, profiles",
+    [("aircraft.scenario", 2), ("disjoint.scenario", 2), ("aircraft_market.scenario", 4)],
+)
+def test_a_batch_builds_each_profiles_table_once_and_frees_it(built, name, profiles):
+    scenario = load_scenario(bundled_scenario(name))
+    result = run_batch(scenario, 5)
+    assert sorted(agent for agent, _ in built) == sorted(spec.id for spec in scenario.agents)
+    assert len(built) == profiles
+    # the result is still held, yet no table outlives the call
+    assert len(result.records) == 5
+    assert [agent for agent, table in built if table() is not None] == []
+
+
+def test_run_one_to_many_builds_the_buyers_table_once(built, market_scenario):
+    buyer = market_scenario.agent(market_scenario.buyer_id)
+    suppliers = [market_scenario.agent(s) for s in market_scenario.supplier_ids]
+    _, results, _ = run_one_to_many(
+        buyer.profile, buyer.tactic, [(s.profile, s.tactic) for s in suppliers],
+        market_scenario.plan, max_rounds=market_scenario.max_rounds,
+    )
+    assert len(results) == 3
+    assert [agent for agent, _ in built] == [buyer.id, *(s.id for s in suppliers)]
+
+
+def test_a_table_built_for_another_profile_is_not_used():
+    a = ladder_profile("a")
+    reversed_ladder = tuple(IssueOption(o.label, 100.0 - o.rating) for o in a.issues[0].options)
+    b = replace(a, agent_id="b", issues=(Issue("value", reversed_ladder),))
+    # the same agent id and alphabet as "a", but it rates the options as "b" does
+    impostor = replace(b, agent_id="a")
+    stale = OfferTable(impostor)
+    tables = {id(a): stale}
+    tactic = TimeDependentTactic()
+    shared = run_session(a, b, tactic, tactic, tables=tables)
+    fresh = run_session(a, b, tactic, tactic)
+    assert tables[id(a)] is not stale and tables[id(a)].profile is a
+    assert shared[0] == fresh[0]
+    assert shared[1].rows == fresh[1].rows
+
+
+class Minting(Tactic):
+    """Its inner tactic's offer, copied: no offer it makes recurs by identity."""
+
+    def __init__(self, inner: Tactic):
+        self.inner = inner
+
+    def propose(self, table, trace, round):
+        return OfferVector(choices=dict(self.inner.propose(table, trace, round).choices))
+
+
+def row_fields(trace):
+    return [
+        (r.round, r.proposer, dict(r.offer.choices), r.utility_proposer, r.utility_receiver, r.action)
+        for r in trace
+    ]
+
+
+def test_shared_tables_change_no_session_randomized():
+    # sessions over a pool of profiles, each played through one dict of tables
+    # kept across them and again with tables of its own
+    rng = random.Random(2020)
+    kinds, fallbacks, minted = set(), 0, 0
+    for _ in range(40):
+        base = random_profile(rng, "p0")
+        # two profiles of agent "p1": a table is its profile's, not its agent's
+        pool = [base] + [(rerated if i % 2 else sharing_zeros)(rng, base, f"p{i}") for i in (1, 2, 1)]
+        pinned = rng.randrange(len(pool))
+        pool[pinned] = replace(pool[pinned], reservation_utility=rng.uniform(0.0, 90.0))
+        tables = {}
+        for _ in range(10):
+            a, b = rng.sample(pool, 2)
+            while a.agent_id == b.agent_id:
+                a, b = rng.sample(pool, 2)
+            tactic_a, tactic_b = random_tactic(rng), random_tactic(rng)
+            if rng.random() < 0.25:
+                tactic_a, minted = Minting(tactic_a), minted + 1
+            armed = PredictorConfig(enabled=True, warmup=rng.randint(0, 4))
+            session = dict(
+                profile_a=a, profile_b=b, tactic_a=tactic_a, tactic_b=tactic_b,
+                predictor_config=rng.choice((None, armed, {b.agent_id: armed})),
+                max_rounds=rng.randint(2, 40), opener=rng.choice((a.agent_id, b.agent_id)),
+            )
+            shared = run_session(**session, tables=tables)
+            fresh = run_session(**session)
+            assert shared[0] == fresh[0]
+            assert row_fields(shared[1]) == row_fields(fresh[1])
+            assert shared[1].metadata["fallbacks"] == fresh[1].metadata["fallbacks"]
+            kinds.add(fresh[0].kind)
+            fallbacks += len(fresh[1].metadata["fallbacks"])
+        assert len(tables) <= len(pool)
+        assert all(tables[id(table.profile)] is table for table in tables.values())
+    assert kinds == {"agreement", "withdrawal", "early-termination", "deadline-expiry"}
+    assert fallbacks > 0 and minted > 0
