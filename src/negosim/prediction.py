@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .domain import (
     DiscretizationScheme,
@@ -31,7 +30,6 @@ if TYPE_CHECKING:
 FAMILIES = ("linear", "power", "quadratic")  # simplest first
 _MIN_POINTS = {"linear": 2, "power": 2, "quadratic": 3}
 SSE_TIE_EPS = 1e-9
-_MEAN_GUARD = 1e-7  # share of 1 + rms(u) that bounds the error of a fit's mean (see _Columns.reaches)
 
 
 class DegenerateDataError(NegotiationError):
@@ -79,21 +77,14 @@ class RegressionFit:
     c: float = 0.0
 
 
-_EPS = np.finfo(np.float64).eps
-_KAPPA_MAX = _MEAN_GUARD / (64 * _EPS)  # about 7.0e6: n * kappa up to which _MEAN_GUARD holds
-
-
 class _Columns:
-    """The points every family's fit reads, with running sums of them.
+    """The points every family's fit reads.
 
     ``times`` and ``utilities`` hold the points as floats, in the order
-    they arrived; each fit builds its arrays from them. ``sums`` holds the
-    running sums (Σt, Σt², Σt³, Σt⁴, Σu, Σu²) and, while every point has
-    t > 0 and u > 0 (the power family's domain, ``positive``),
-    ``log_sums`` holds (Σx, Σx², Σy, Σy²) for x = log t and y = log u;
-    :meth:`reaches` reads them. ``problem`` is None while every stored
-    point is valid, else the first series rule a point broke; each point
-    is checked as it is stored.
+    they arrived; each fit builds its arrays from them. ``positive`` is
+    True while every point has t > 0 and u > 0, the power family's domain.
+    ``problem`` is None while every stored point is valid, else the first
+    series rule a point broke; each point is checked as it is stored.
     """
 
     def __init__(self, points=()):
@@ -101,8 +92,6 @@ class _Columns:
         self.utilities: list[float] = []
         self.positive = True
         self.problem: str | None = None
-        self.sums = (0.0,) * 6
-        self.log_sums = (0.0,) * 4
         self.extend(points)
 
     @property
@@ -113,8 +102,6 @@ class _Columns:
     def extend(self, points) -> None:
         times, utilities = self.times, self.utilities
         positive, problem, latest = self.positive, self.problem, self.latest
-        s1, s2, s3, s4, su, suu = self.sums
-        x1, x2, y1, y2 = self.log_sums
         for t, u in points:
             t, u = _float(t), _float(u)
             if problem is None:
@@ -127,59 +114,8 @@ class _Columns:
             latest = t
             times.append(t)
             utilities.append(u)
-            t2 = t * t
-            s1, s2, s3, s4 = s1 + t, s2 + t2, s3 + t2 * t, s4 + t2 * t2
-            su, suu = su + u, suu + u * u
             positive = positive and not (t <= 0 or u <= 0)
-            if positive:
-                x, y = math.log(t), math.log(u)
-                x1, x2, y1, y2 = x1 + x, x2 + x * x, y1 + y, y2 + y * y
-        self.sums = s1, s2, s3, s4, su, suu
-        self.log_sums = x1, x2, y1, y2
         self.positive, self.problem = positive, problem
-
-    def reaches(self, level: float) -> bool:
-        """True only if every admissible family's fit reaches ``level`` by
-        the latest time: ``select_model(self)`` then raises
-        :class:`DegenerateDataError` or gives a curve whose
-        ``estimate_crossing`` at ``level`` is at most ``latest``. O(1).
-
-        Linear and quadratic least squares have an intercept, so their
-        residuals sum to 0 and the mean of the fitted values at the observed
-        times is mean(u); power fits log u with an intercept, so the mean of
-        its fitted logs is mean(log u). If mean(u) >= level + guard and,
-        while power is admissible, mean(log u) >= log(level) + guard, each
-        curve is above ``level`` at some observed time, and with every time
-        in [0, 1] it first gets there no later than ``latest``.
-
-        The guard covers the floats. A running sum of n terms is off by at
-        most n*eps times the sum of their sizes, at most n*eps*sqrt(n Σu²),
-        so the mean is within n*eps*rms(u); Σ log u likewise. gelsd is
-        normwise backward stable: it returns the exact solution of a problem
-        whose design and target are perturbed by c*n*eps of their norms.
-        That problem's residual is orthogonal to its perturbed column of
-        ones, so the mean of the computed fitted values is within
-        c*n*eps*kappa_x*rms of the data's (rms of u, or of log u for power),
-        kappa_x the design's 2-norm condition number ([1, t]'s is at most
-        [1, t, t²]'s). The closed forms of ``estimate_crossing`` add
-        rounding of the same order, relative to the curve and to ``level``.
-        With c = 64 all of it stays under ``_MEAN_GUARD * (1 + rms)`` while
-        n * kappa_x <= :data:`_KAPPA_MAX`, which :func:`_t_pivots` (and, for
-        power, :func:`_log_t_pivot`) checks; where it refuses, this is
-        False. False also for a series that broke a rule, fewer than three
-        distinct times, or a time outside [0, 1].
-        """
-        n = len(self.times)
-        if self.problem is not None or n < 3 or not 0.0 <= self.times[0] <= self.latest <= 1.0:
-            return False
-        su, suu = self.sums[4:]
-        if not _t_pivots(self) or not su / n >= level + _MEAN_GUARD * (1.0 + math.sqrt(suu / n)):
-            return False
-        if not self.positive or level <= 0:  # power is inadmissible, or is >= 0 >= level at t = 0
-            return True
-        y1, y2 = self.log_sums[2:]
-        guard = _MEAN_GUARD * (1.0 + math.sqrt(y2 / n))
-        return _log_t_pivot(self) and y1 / n >= math.log(level) + guard
 
     def __len__(self) -> int:
         return len(self.times)
@@ -196,17 +132,17 @@ def _float(value) -> float:
 def _lstsq(design: np.ndarray, target: np.ndarray) -> np.ndarray:
     """The coefficients ``np.linalg.lstsq(design, target, rcond=None)`` returns.
 
-    This is the gufunc (LAPACK ``gelsd``) that ``lstsq`` calls, with the same
-    arguments, minus the wrapper's checks and copies. The caller sets
-    ``np.errstate``: a solve that fails returns NaN coefficients.
+    :class:`DegenerateDataError` if the design's rank is below its width, or
+    if the solve fails, as it does on a design with an infinite entry
+    (``lstsq`` raises ``LinAlgError`` whatever ``np.errstate`` says).
     """
-    rows, cols = design.shape
-    coef, _, rank, _ = _umath_linalg.lstsq(
-        design, target[:, None], _EPS * max(rows, cols), signature="ddd->ddid"
-    )
-    if rank < cols:
+    try:
+        coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+    except np.linalg.LinAlgError:
+        raise DegenerateDataError("least-squares solve failed (non-finite design)") from None
+    if rank < design.shape[1]:
         raise DegenerateDataError("design matrix is singular (degenerate observation times)")
-    return coef[:, 0]
+    return coef
 
 
 def fit_regression(series: ObservationSeries, family: str) -> RegressionFit:
@@ -245,57 +181,6 @@ def _fit(family: str, t: np.ndarray, u: np.ndarray) -> RegressionFit:
         raise DegenerateDataError(f"{family} fit produced non-finite parameters")
     # np.add.reduce is ndarray.sum's pairwise sum, without the method's wrapper
     return RegressionFit(family, a, b, float(np.add.reduce((pred - u) ** 2)), c)
-
-
-def _t_pivots(cols: _Columns) -> bool:
-    """Whether ``[1, t, t^2]`` passes the conditioning test of
-    :meth:`_Columns.reaches`; needs n >= 1.
-
-    Its Gram matrix G = XᵀX, in centred form, has pivots n, vt = Σ(t - mean
-    t)² and vq, t²'s pivot after 1 and t; det G = n*vt*vq. The test bounds
-    kappa_x² <= trace(G) * trace(G^-1), in which s2*s4 bounds the cofactor
-    s2*s4 - s3², and passes while n * kappa_x <= :data:`_KAPPA_MAX`; that
-    also keeps gelsd's rank test (cut-off eps * n) from dropping a column.
-    The pivots come from running sums, and each pivot step multiplies a
-    relative error by at most its diagonal-to-pivot ratio, so the test also
-    asks n * kappa <= _KAPPA_MAX for kappa the product of those ratios:
-    then the bound on kappa_x is itself accurate. False when a pivot is not
-    positive, or on NaN.
-    """
-    n = len(cols)
-    s1, s2, s3, s4 = cols.sums[:4]
-    vt = s2 - s1 * s1 / n
-    if not vt > 0:
-        return False
-    ct = s3 - s1 * s2 / n  # Σ(t - mean t)(t² - mean t²)
-    vt2 = s4 - s2 * s2 / n  # Σ(t² - mean t²)²
-    vq = vt2 - ct * ct / vt
-    if not vq > 0:
-        return False
-    kappa = s2 / vt * (s4 / vq)
-    kappa_x2 = (n + s2 + s4) * (n * (vt + vt2) + s2 * s4) / n / vt / vq
-    limit = _KAPPA_MAX / n
-    return kappa <= limit and kappa_x2 <= limit * limit
-
-
-def _log_t_pivot(cols: _Columns) -> bool:
-    """Whether the points are positive and ``[1, log t]`` passes the
-    conditioning test of :meth:`_Columns.reaches`, as :func:`_t_pivots`
-    tests ``[1, t, t^2]`` with x = log t in place of t.
-
-    The limit is also divided by 1 + ||log u||, a margin beyond what the
-    mean of the fitted logs needs: unlike u, log u has no fixed range.
-    """
-    if not cols.positive:
-        return False
-    n = len(cols)
-    x1, x2, _, y2 = cols.log_sums
-    vx = x2 - x1 * x1 / n
-    if not vx > 0:
-        return False
-    limit = _KAPPA_MAX / (n * (1.0 + math.sqrt(y2)))
-    kappa, kappa_x2 = x2 / vx, (n + x2) * (n + x2) / (n * vx)
-    return kappa <= limit and kappa_x2 <= limit * limit
 
 
 @np.errstate(all="ignore")  # a fit that fails gives NaN or inf, and DegenerateDataError
@@ -578,8 +463,8 @@ class Advice:
     ``terminate-unprofitable`` (the fitted curve never reaches the
     reservation before the deadline) or ``acceptance-forecast``. For a
     forecast, ``t_star`` is the round by which the opponent's offers reach
-    the reservation: the fitted crossing, or, when the running sums already
-    prove that every curve reaches it, the round of the offer answered.
+    the reservation: the fitted crossing, or, when the offer answered is
+    already above the reservation, that offer's round.
     """
 
     kind: str
@@ -610,12 +495,11 @@ def advise(state: PredictorState, incoming: "TraceRow", table: "OfferTable") -> 
     Active mode fits the best regression over (normalized time, utility of
     the opponent's offers under this agent's profile) and estimates when the
     curve reaches the agent's reservation; no crossing before the deadline
-    means the thread is not worth pursuing. When the columns' running sums
-    already prove that every family's curve reaches the reservation by now
-    (:meth:`_Columns.reaches`), no verdict can be ``terminate-unprofitable``
-    and nothing is fitted: the forecast is the round of ``incoming``. Once
-    an observation is out of order or out of range, every later call
-    advises ``continue``.
+    means the thread is not worth pursuing. An ``incoming`` offer strictly
+    above the reservation already makes the thread profitable, so nothing
+    is fitted and the forecast is its round; an offer exactly at the
+    reservation is still fitted. Once an observation is out of order or out
+    of range, every later call advises ``continue``.
     """
     deadline = table.profile.deadline
     state.columns.extend(((incoming.round / deadline, incoming.utility_receiver),))
@@ -623,7 +507,7 @@ def advise(state: PredictorState, incoming: "TraceRow", table: "OfferTable") -> 
         return Advice(kind="none")
     if state.columns.problem is not None:
         return Advice(kind="continue")
-    if state.columns.reaches(table.reservation):
+    if incoming.utility_receiver > table.reservation:
         return Advice(kind="acceptance-forecast", t_star=float(incoming.round))
     try:
         fit = select_model(state.columns)

@@ -76,6 +76,10 @@ def advise_each(state, trace, profile):
     return advice
 
 
+def no_fit(cols):
+    raise AssertionError("select_model was called")
+
+
 class TestObservationSeries:
     def test_non_increasing_times_rejected(self):
         with pytest.raises(DataError, match="^observation times must be strictly increasing$"):
@@ -120,10 +124,8 @@ class TestObservationSeries:
             series(*points)
 
     def test_large_integer_time_is_stored_as_its_float(self):
-        # the float is squared, to inf; the Python int's square would overflow the float sum
         grown = series((10**200, 50.0)).columns
         assert grown.times == [1e200]
-        assert grown.sums[1] == math.inf
         assert grown.problem is None
 
 
@@ -190,6 +192,12 @@ class TestFitRegression:
         points = tuple((t, 10.0 + 5.0 * i) for i, t in enumerate(times))
         with pytest.raises(DegenerateDataError, match="singular"):
             fit_regression(series(*points), family)
+
+    def test_design_past_the_float_range_rejected(self):
+        # t² overflows to inf in the quadratic design, and the solve fails
+        points = tuple((k * 1e200, 10.0 * k) for k in (1, 2, 3))
+        with pytest.raises(DegenerateDataError):
+            fit_regression(series(*points), "quadratic")
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
@@ -472,13 +480,14 @@ class TestAdvise:
         assert state.mode == "warm-up"
 
     def test_rising_offers_forecast_acceptance(self):
-        profile = ladder_profile(deadline=10, reservation=40.0)
+        # a reservation above the latest offer, 50, keeps the fit from being skipped
+        profile = ladder_profile(deadline=20, reservation=60.0)
         trace = incoming_trace(profile, [10.0, 20.0, 30.0, 40.0, 50.0], rounds=[0, 2, 4, 6, 8])
         state = self.state()
         advice = advise_each(state, trace, profile)
         assert advice.kind == "acceptance-forecast"
-        # linear trend u = 10 + 5*round reaches 40 at round 6
-        assert advice.t_star == pytest.approx(6.0)
+        # linear trend u = 10 + 5*round reaches 60 at round 10
+        assert advice.t_star == pytest.approx(10.0)
         assert state.mode == "active"
 
     def test_crossing_past_the_float_range_advises_termination(self):
@@ -499,33 +508,56 @@ class TestAdvise:
         assert advice.kind == "terminate-unprofitable"
 
     def test_degenerate_history_advises_continue(self):
-        # active immediately but with too few points for any fit
-        profile = ladder_profile(deadline=10)
+        # active immediately but with too few points for any fit; the latest
+        # offer is at the reservation, not above it, so the fit is tried
+        profile = ladder_profile(deadline=10, reservation=40.0)
         trace = incoming_trace(profile, [30.0, 40.0])
         advice = advise_each(self.state(warmup=2), trace, profile)
         assert advice.kind == "continue"
 
     def test_power_intercept_beyond_float_advises_continue(self):
         # rounds 50..52 of 10**6: the power fit's exp(log a) overflows; a
-        # reservation above the offers' mean keeps the fit from being skipped
-        profile = ladder_profile(deadline=10**6, reservation=60.0)
+        # reservation at the latest offer keeps the fit from being skipped
+        profile = ladder_profile(deadline=10**6, reservation=100.0)
         trace = incoming_trace(profile, [1.0, 50.0, 100.0], rounds=[50, 51, 52])
         advice = advise_each(self.state(warmup=3), trace, profile)
         assert advice.kind == "continue"
 
     def test_offers_above_the_reservation_forecast_the_round_answered(self, monkeypatch):
-        # the running sums prove the curve reaches 40 by now, so nothing is fitted
+        # the offer answered, 60, is above the reservation of 40, so nothing is fitted
         profile = ladder_profile(deadline=10, reservation=40.0)
         trace = incoming_trace(profile, [50.0, 60.0, 50.0, 70.0, 60.0], rounds=[0, 2, 4, 6, 8])
         state = self.state()
-
-        def no_fit(cols):
-            raise AssertionError("select_model was called")
-
         monkeypatch.setattr(prediction, "select_model", no_fit)
         assert advise_each(state, trace, profile) == Advice("acceptance-forecast", t_star=8.0)
         monkeypatch.undo()
         assert estimate_crossing(select_model(state.columns), 40.0, 1.0) == 0.0
+
+    def test_zigzag_above_the_reservation_is_not_terminated(self, monkeypatch):
+        # the linear fit to 10, 60, 10, ... never reaches 50 by the deadline,
+        # but the offer answered, 60, is above it: the thread is profitable
+        profile = ladder_profile(deadline=10, reservation=50.0)
+        trace = incoming_trace(profile, [10, 60, 10, 60, 10, 60], rounds=[0, 2, 4, 6, 8, 10])
+        state = self.state(warmup=6)  # active from the sixth offer on
+        monkeypatch.setattr(prediction, "select_model", no_fit)
+        assert advise_each(state, trace, profile) == Advice("acceptance-forecast", t_star=10.0)
+        monkeypatch.undo()
+        assert estimate_crossing(select_model(state.columns), 50.0, 1.0) is None
+
+    def test_latest_offer_at_the_reservation_is_fitted(self, monkeypatch):
+        # equal is not above: the fit decides, and this one never reaches 60
+        profile = ladder_profile(deadline=10, reservation=60.0)
+        trace = incoming_trace(profile, [10, 60, 10, 60, 10, 60], rounds=[0, 2, 4, 6, 8, 10])
+        fitted = []
+
+        def recorded_fit(cols):
+            fitted.append(len(cols))
+            return select_model(cols)
+
+        monkeypatch.setattr(prediction, "select_model", recorded_fit)
+        advice = advise_each(self.state(warmup=6), trace, profile)
+        assert fitted == [6]
+        assert advice == Advice(kind="terminate-unprofitable")
 
     def test_observations_rebuilt_from_trace(self):
         profile = ladder_profile(deadline=10)
@@ -548,9 +580,8 @@ def rebuilt_advice(rows, profile, warmup):
     """Reference: the advice from a series rebuilt, and checked, from the whole
     trace, and the one-shot fit (or its error type) behind it, None if none.
 
-    Where the series' running sums certify that the reservation is reached,
-    the advice is a forecast of the round answered; the one-shot fit is made
-    anyway, and its verdict must agree that the thread is not unprofitable.
+    Where the offer answered is above the reservation, the advice is a
+    forecast of its round; the one-shot fit is made anyway.
     """
     incoming = [r for r in rows if r.proposer != profile.agent_id and r.action == "offer"]
     points = tuple((r.round / profile.deadline, r.utility_receiver) for r in incoming)
@@ -562,26 +593,21 @@ def rebuilt_advice(rows, profile, warmup):
         return Advice(kind="continue"), None
     reservation = reservation_utility(profile)
     fit = fit_or_error(series)
-    if isinstance(fit, type):
-        full = Advice(kind="continue")
-    else:
-        t_star = estimate_crossing(fit, reservation, 1.0)
-        if t_star is None:
-            full = Advice(kind="terminate-unprofitable")
-        else:
-            full = Advice(kind="acceptance-forecast", t_star=t_star * profile.deadline)
-    if series.columns.reaches(reservation):
-        assert full.kind != "terminate-unprofitable", points
-        assert full.t_star is None or full.t_star <= incoming[-1].round, points
+    if incoming[-1].utility_receiver > reservation:
         return Advice(kind="acceptance-forecast", t_star=float(incoming[-1].round)), fit
-    return full, fit
+    if isinstance(fit, type):
+        return Advice(kind="continue"), fit
+    t_star = estimate_crossing(fit, reservation, 1.0)
+    if t_star is None:
+        return Advice(kind="terminate-unprofitable"), fit
+    return Advice(kind="acceptance-forecast", t_star=t_star * profile.deadline), fit
 
 
 def test_incremental_state_matches_the_rebuilt_series_randomized():
     # the advice after each incoming row equals the advice rebuilt from the rows so far
     rng = random.Random(2024)
     kinds = set()
-    broken_calls, certified = 0, 0
+    broken_calls, skipped = 0, 0
     for _ in range(300):
         reservation = rng.choice((None, rng.uniform(0.0, 100.0)))
         profile = ladder_profile(deadline=rng.randint(5, 60), reservation=reservation)
@@ -616,14 +642,14 @@ def test_incremental_state_matches_the_rebuilt_series_randomized():
                 assert advice == expected
                 if fit is not None:  # the grown columns fit as the one-shot series
                     assert fit_or_error(state.columns) == fit
-                    certified += state.columns.reaches(table.reservation)
+                    skipped += rows[-1].utility_receiver > table.reservation
                 if broken and state.mode == "active":
                     assert advice.kind == "continue"
                     broken_calls += 1
                 kinds.add(advice.kind)
     assert kinds == {"none", "continue", "terminate-unprofitable", "acceptance-forecast"}
     assert broken_calls > 100
-    assert certified > 1000
+    assert skipped > 1000
 
 
 def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
@@ -689,12 +715,12 @@ def test_advise_in_sessions_matches_the_one_shot_fit_randomized(monkeypatch):
     # far, and each session hands a party every opponent offer once, in order;
     # a replay with one observation corrupted covers series that turn invalid
     rng = random.Random(8080)
-    calls, invalid_calls, certified, kinds = 0, 0, 0, set()
+    calls, invalid_calls, skipped, kinds = 0, 0, 0, set()
     live_advise = protocol.advise
     handed = {}  # per predictor state: its agent and the rows it was handed
 
     def checked_advise(state, incoming, table):
-        nonlocal calls, certified
+        nonlocal calls, skipped
         _, rows = handed.setdefault(state, (table.profile.agent_id, []))
         rows.append(incoming)
         advice = live_advise(state, incoming, table)
@@ -702,7 +728,7 @@ def test_advise_in_sessions_matches_the_one_shot_fit_randomized(monkeypatch):
         assert advice == expected
         if fit is not None:
             assert fit_or_error(state.columns) == fit
-            certified += state.columns.reaches(table.reservation)
+            skipped += incoming.utility_receiver > table.reservation
         calls += 1
         kinds.add(advice.kind)
         return advice
@@ -740,108 +766,8 @@ def test_advise_in_sessions_matches_the_one_shot_fit_randomized(monkeypatch):
                 assert fit_or_error(state.columns) == fit
             if stop >= i and state.columns.problem is not None and state.mode == "active":
                 invalid_calls += 1
-    assert calls > 500 and invalid_calls > 20 and certified > 100
+    assert calls > 500 and invalid_calls > 20 and skipped > 100
     assert kinds == {"none", "continue", "terminate-unprofitable", "acceptance-forecast"}
-
-
-# --- the certificate that lets advise skip the fit ----------------------------
-
-
-def crossing_or_error(cols, level):
-    """The fitted curve's first crossing of ``level`` in [0, 1] (None if none),
-    or the type of the error select_model raises."""
-    fit = fit_or_error(cols)
-    return fit if isinstance(fit, type) else estimate_crossing(fit, level, 1.0)
-
-
-def boundary_series(rng):
-    """3 to 80 distinct times in [0, 1], packed into widths down to 1e-9, and
-    utilities that are noise, a trend, a ladder or nearly flat, some with a 0."""
-    n = rng.randint(3, 80)
-    width = rng.choice((10 ** rng.uniform(-9, 0), rng.uniform(0.1, 1.0)))
-    start = rng.choice((0.0, 1.0 - width, rng.uniform(0.0, 1.0 - width)))
-    times = sorted({min(start + width * rng.random(), 1.0) for _ in range(n)})
-    if rng.random() < 0.3:
-        times[-1] = 1.0
-    base, slope, bend = rng.uniform(0, 100), rng.uniform(-80, 80), rng.uniform(-80, 80)
-    shape = rng.randrange(4)
-    us = []
-    for i, t in enumerate(times):
-        x = (t - times[0]) / width
-        if shape == 0:
-            u = rng.uniform(0, 100)
-        elif shape == 1:
-            u = base + slope * x + bend * x * x + rng.gauss(0, 1)
-        elif shape == 2:  # a ladder, as the benchmark's offers are
-            u = rng.choice((2.5, 10.0)) * round((base + slope * x) / 10)
-        else:
-            u = base + rng.choice((0.0, 1e-9, 1e-3)) * rng.gauss(0, 1)
-        us.append(min(max(u, 0.0), 100.0))
-    if rng.random() < 0.4:  # power is inadmissible: the mean alone decides
-        us[rng.randrange(len(us))] = 0.0
-    return list(zip(times, us))
-
-
-def test_reaches_is_sound_near_the_boundary():
-    # levels within 1e-12 to 1e-2 of the mean, or of the geometric mean, on
-    # either side: whenever reaches() holds, the fit never advises termination
-    rng = random.Random(17)
-    certified, declined, closest = 0, 0, math.inf
-    for _ in range(15_000):
-        points = boundary_series(rng)
-        us = [u for _, u in points]
-        means = [math.fsum(us) / len(us)]
-        if min(us) > 0:
-            means.append(math.exp(math.fsum(map(math.log, us)) / len(us)))
-        mean = rng.choice(means)
-        level = mean + rng.choice((-1, 1)) * 10 ** rng.uniform(-12, -2)
-        cols = _Columns(points)
-        if not cols.reaches(level):
-            declined += 1
-            continue
-        certified += 1
-        closest = min(closest, mean - level)
-        crossing = crossing_or_error(cols, level)
-        assert crossing is DegenerateDataError or crossing <= cols.latest, (points, level)
-    assert certified > 500 and declined > 5000
-    assert closest < 1e-4  # the guard, not only the spread of the levels, decides
-
-
-def test_reaches_declines_a_time_outside_zero_to_one():
-    # a line through (0.5, 0) and (1.5, 100) averages 50 but reaches 60 at t = 1.1
-    points = [(0.5 + i / 100, float(i)) for i in range(101)]
-    assert estimate_crossing(select_model(_Columns(points)), 60.0, 1.0) is None
-    assert not _Columns(points).reaches(60.0)
-    assert _Columns(points[:51]).reaches(20.0)  # times up to 1.0, crossing at 0.7
-    assert not _Columns([(t - 0.6, u) for t, u in points[:51]]).reaches(20.0)  # a time < 0
-    rng = random.Random(18)
-    for _ in range(2000):
-        points = boundary_series(rng)
-        stretch = rng.uniform(1.0, 3.0)
-        past = [(t * stretch, u) for t, u in points]
-        if past[-1][0] > 1.0:
-            assert not _Columns(past).reaches(rng.uniform(0.0, 50.0))
-
-
-@pytest.mark.parametrize("level", [0.0, 2.5, 37.5, 60.0, 100.0])
-def test_reaches_declines_a_flat_series_at_the_level(level):
-    # mean - level is 0, or an ulp or two: the fit decides, as it did before
-    for n in (3, 10, 60, 200):
-        cols = _Columns([(0.005 + i / 250, level) for i in range(n)])
-        for below in (level, math.nextafter(level, -1.0), level - 1e-12):
-            assert not cols.reaches(below), (n, below)
-        assert cols.reaches(level - 0.01)
-
-
-@pytest.mark.parametrize("first", [80.0, 0.0])  # with a 0, power is inadmissible
-def test_reaches_declines_an_ill_conditioned_design(first):
-    # the mean clears the level by far, but times packed within 1e-9 make
-    # [1, t, t²] too ill-conditioned for the guard to cover gelsd's error
-    us = [first] + [80.0 + (-1) ** i * 0.5 * i for i in range(1, 10)]
-    packed = _Columns([(0.5 + i * 1e-10, u) for i, u in enumerate(us)])
-    assert sum(packed.utilities) / len(packed) > 70.0
-    assert not packed.reaches(50.0)
-    assert _Columns([(0.05 + i / 10, u) for i, u in enumerate(us)]).reaches(50.0)
 
 
 # --- select_model against a reference that fits every admissible family -----
@@ -910,41 +836,50 @@ def bits(outcome):
     return outcome
 
 
-def check_against_reference(cols: _Columns) -> None:
+def check_against_reference(cols: _Columns):
     """Assert that select_model gives the reference's fit, or raises its error
-    type, bit for bit."""
+    type, bit for bit; return the reference's outcome."""
     fits = reference_fits(np.array(cols.times), np.array(cols.utilities))
-    got = fit_or_error(cols)
-    assert bits(got) == bits(reference_select_model(fits)), (cols.times, cols.utilities)
+    expected = reference_select_model(fits)
+    assert bits(fit_or_error(cols)) == bits(expected), (cols.times, cols.utilities)
+    return expected
 
 
 def test_select_model_matches_the_reference_on_every_long_horizon_fit(monkeypatch):
     # the benchmark's seed-1 long_horizon sessions, with the columns of every
-    # active advise() checked, whether or not advise fits them
+    # active advise() checked, whether or not advise fits them; where the offer
+    # answered is above the reservation and nothing is fitted, the fit would
+    # not have terminated the thread either, so no benchmark verdict changes
     from perfbench import workloads
 
     live_advise = protocol.advise
-    checked = 0
+    checked, skipped = 0, 0
 
     def checked_advise(state, incoming, table):
-        nonlocal checked
+        nonlocal checked, skipped
         advice = live_advise(state, incoming, table)
         cols = state.columns
         if state.mode == "active" and cols.problem is None:
             checked += 1
-            check_against_reference(cols)
+            expected = check_against_reference(cols)
+            if incoming.utility_receiver > table.reservation:
+                skipped += 1
+                assert isinstance(expected, type) or (
+                    estimate_crossing(expected, table.reservation, 1.0) is not None
+                ), (cols.times, cols.utilities, table.reservation)
         return advice
 
     workload = workloads.make("long_horizon", 1, None)
     monkeypatch.setattr(protocol, "advise", checked_advise)
     for key in range(workload.units):
         workload.run(key)
-    assert checked > 20_000
+    assert checked > 20_000 and skipped > 0.9 * checked
 
 
 def test_long_horizon_fits_rarely_and_ends_the_same_sessions(monkeypatch):
-    # seed 1: nearly every active advise() is certified, and the 14 sessions whose
-    # offers sit flat at the reservation still go through the fit and end unprofitable
+    # seed 1: nearly every active advise() answers an offer above the reservation and
+    # fits nothing, and the 14 sessions whose offers sit flat at the reservation
+    # still go through the fit and end unprofitable
     from perfbench import workloads
 
     live_advise, live_select_model = protocol.advise, prediction.select_model
