@@ -36,7 +36,6 @@ from .prediction import (
     NeuralPredictor,
     ObservationSeries,
     PredictorConfig,
-    PredictorState,
     RegressionFit,
     advise,
     estimate_crossing,

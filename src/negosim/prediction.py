@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -50,16 +50,38 @@ class NotTrainedError(NegotiationError):
 
 @dataclass(frozen=True)
 class ObservationSeries:
-    """(time, utility) pairs; time strictly increasing, utility in [0, 100]."""
+    """(time, utility) pairs; time strictly increasing, utility in [0, 100].
+
+    Each point is converted to floats (an integer past the float range
+    becomes ±inf, which the rules reject) and checked as it is stored; the
+    first rule a point breaks raises :class:`DataError`. ``times`` and
+    ``utilities`` are the columns every fit reads. ``positive`` is True when
+    every point has t > 0 and u > 0, the power family's domain.
+    """
 
     points: tuple[tuple[float, float], ...]
-    columns: _Columns = field(init=False, repr=False, compare=False)  # what the fits read
+    times: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    utilities: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    positive: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        columns = _Columns(self.points)
-        if columns.problem is not None:
-            raise DataError(columns.problem)
-        object.__setattr__(self, "columns", columns)
+        times, utilities, latest = [], [], -math.inf
+        for t, u in self.points:
+            t, u = _float(t), _float(u)
+            if not math.isfinite(t):
+                raise DataError("observation times must be finite")
+            if t <= latest:
+                raise DataError("observation times must be strictly increasing")
+            if not 0 <= u <= 100:
+                raise DataError("observed utilities must lie in [0, 100]")
+            latest = t
+            times.append(t)
+            utilities.append(u)
+        # times increase, so the first is the least
+        positive = not times or (times[0] > 0 and min(utilities) > 0)
+        object.__setattr__(self, "times", tuple(times))
+        object.__setattr__(self, "utilities", tuple(utilities))
+        object.__setattr__(self, "positive", positive)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -77,50 +99,6 @@ class RegressionFit:
     c: float = 0.0
 
 
-class _Columns:
-    """The points every family's fit reads.
-
-    ``times`` and ``utilities`` hold the points as floats, in the order
-    they arrived; each fit builds its arrays from them. ``positive`` is
-    True while every point has t > 0 and u > 0, the power family's domain.
-    ``problem`` is None while every stored point is valid, else the first
-    series rule a point broke; each point is checked as it is stored.
-    """
-
-    def __init__(self, points=()):
-        self.times: list[float] = []
-        self.utilities: list[float] = []
-        self.positive = True
-        self.problem: str | None = None
-        self.extend(points)
-
-    @property
-    def latest(self) -> float:
-        """The last point's time."""
-        return self.times[-1] if self.times else -math.inf
-
-    def extend(self, points) -> None:
-        times, utilities = self.times, self.utilities
-        positive, problem, latest = self.positive, self.problem, self.latest
-        for t, u in points:
-            t, u = _float(t), _float(u)
-            if problem is None:
-                if not math.isfinite(t):
-                    problem = "observation times must be finite"
-                elif t <= latest:
-                    problem = "observation times must be strictly increasing"
-                elif not 0 <= u <= 100:
-                    problem = "observed utilities must lie in [0, 100]"
-            latest = t
-            times.append(t)
-            utilities.append(u)
-            positive = positive and not (t <= 0 or u <= 0)
-        self.positive, self.problem = positive, problem
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-
 def _float(value) -> float:
     """``value`` as a float; an integer past the float range is ±inf, which the series rules reject."""
     try:
@@ -132,10 +110,13 @@ def _float(value) -> float:
 def _lstsq(design: np.ndarray, target: np.ndarray) -> np.ndarray:
     """The coefficients ``np.linalg.lstsq(design, target, rcond=None)`` returns.
 
-    :class:`DegenerateDataError` if the design's rank is below its width, or
-    if the solve fails, as it does on a design with an infinite entry
-    (``lstsq`` raises ``LinAlgError`` whatever ``np.errstate`` says).
+    :class:`DegenerateDataError` if the design has a non-finite entry (the
+    quadratic design's t² is inf from |t| ≈ 1.3e154 on), if its rank is below
+    its width, or if the solve fails. A non-finite design never reaches
+    LAPACK, which would print ``DLASCL`` errors before failing.
     """
+    if not np.isfinite(design).all():
+        raise DegenerateDataError("design matrix has a non-finite entry")
     try:
         coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
     except np.linalg.LinAlgError:
@@ -154,11 +135,10 @@ def fit_regression(series: ObservationSeries, family: str) -> RegressionFit:
         raise DegenerateDataError(
             f"{family} fit needs >= {_MIN_POINTS[family]} points, got {n}"
         )
-    cols = series.columns
-    if family == "power" and not cols.positive:
+    if family == "power" and not series.positive:
         raise RegressionDomainError("power fit needs all t > 0 and all u > 0")
     with np.errstate(all="ignore"):
-        return _fit(family, np.array(cols.times), np.array(cols.utilities))
+        return _fit(family, np.array(series.times), np.array(series.utilities))
 
 
 def _fit(family: str, t: np.ndarray, u: np.ndarray) -> RegressionFit:
@@ -184,19 +164,17 @@ def _fit(family: str, t: np.ndarray, u: np.ndarray) -> RegressionFit:
 
 
 @np.errstate(all="ignore")  # a fit that fails gives NaN or inf, and DegenerateDataError
-def select_model(series: ObservationSeries | _Columns) -> RegressionFit:
+def select_model(series: ObservationSeries) -> RegressionFit:
     """Fit every admissible family and keep the lowest SSE.
 
-    Takes a series, or the columns a :class:`PredictorState` grew. Power is
-    only admissible on strictly positive data. SSE ties (within 1e-9) go to
-    the simpler family: linear < power < quadratic. The first family whose
-    fit fails raises its error.
+    Power is only admissible on strictly positive data. SSE ties (within
+    1e-9) go to the simpler family: linear < power < quadratic. The first
+    family whose fit fails raises its error.
     """
     if len(series) < _MIN_POINTS["quadratic"]:
         raise DegenerateDataError("model selection needs at least 3 points")
-    cols = series if isinstance(series, _Columns) else series.columns
-    admissible = FAMILIES if cols.positive else ("linear", "quadratic")
-    t, u = np.array(cols.times), np.array(cols.utilities)
+    admissible = FAMILIES if series.positive else ("linear", "quadratic")
+    t, u = np.array(series.times), np.array(series.utilities)
     fits = [_fit(f, t, u) for f in admissible]  # simplest family first
     # a power fit whose a underflows to 0 can give a NaN SSE, which never wins
     best_sse = min([fit.sse for fit in fits if not math.isnan(fit.sse)])
@@ -435,7 +413,7 @@ def encode_categorical(value: float, scheme: DiscretizationScheme) -> float:
 @dataclass(frozen=True)
 class PredictorConfig:
     enabled: bool = False
-    warmup: int = 5  # rounds of pure observation before any advice
+    warmup: int = 5  # advice starts at the warmup-th offer the agent answers; 0 is the first
 
     def __post_init__(self) -> None:
         if not isinstance(self.enabled, bool):
@@ -457,61 +435,43 @@ class PredictorConfig:
 
 @dataclass(frozen=True)
 class Advice:
-    """What :func:`advise` makes of the thread so far.
+    """What :func:`advise` makes of the opponent's offers so far.
 
-    ``kind`` is ``none`` (warm-up), ``continue`` (no usable fit),
-    ``terminate-unprofitable`` (the fitted curve never reaches the
-    reservation before the deadline) or ``acceptance-forecast``. For a
-    forecast, ``t_star`` is the round by which the opponent's offers reach
-    the reservation: the fitted crossing, or, when the offer answered is
-    already above the reservation, that offer's round.
+    ``kind`` is ``continue`` (no usable fit), ``terminate-unprofitable``
+    (the fitted curve never reaches the reservation before the deadline) or
+    ``acceptance-forecast``, whose ``t_star`` is the round by which the
+    fitted curve reaches the reservation.
     """
 
     kind: str
     t_star: float | None = None  # own-deadline rounds
 
 
-class PredictorState:
-    """Per-agent, per-session prediction state: warm-up observation then advice.
+def advise(trace: Iterable["TraceRow"], table: "OfferTable") -> Advice:
+    """Fit the opponent's offers in ``trace`` and judge the thread.
 
-    Each call of :func:`advise` appends one observation to the fit columns,
-    which check it as they store it.
+    ``table`` is the judging agent's :class:`~negosim.tactics.OfferTable`.
+    The opponent's offers are the rows of ``trace`` that another party
+    proposed with action ``offer``; each is observed at (round / the
+    agent's deadline, its utility under the agent's profile), in trace
+    order. The best regression over them estimates when the curve reaches
+    the agent's reservation; no crossing before the deadline means the
+    thread is not worth pursuing. A series that breaks a rule, as a
+    hand-built trace can, or that no family fits advises ``continue``.
+
+    :func:`~negosim.protocol.run_session` calls this only once warm-up is
+    over and the offer answered is at or below the reservation: an offer
+    above it already makes the thread profitable.
     """
-
-    def __init__(self, config: PredictorConfig):
-        self.config = config
-        self.columns = _Columns()
-
-    @property
-    def mode(self) -> str:
-        return "warm-up" if len(self.columns) < self.config.warmup else "active"
-
-
-def advise(state: PredictorState, incoming: "TraceRow", table: "OfferTable") -> Advice:
-    """Record the opponent's offer ``incoming`` and, once active, judge the thread.
-
-    The caller passes each of the opponent's offers once, in the order they
-    were made, with the agent's own :class:`~negosim.tactics.OfferTable`.
-    Active mode fits the best regression over (normalized time, utility of
-    the opponent's offers under this agent's profile) and estimates when the
-    curve reaches the agent's reservation; no crossing before the deadline
-    means the thread is not worth pursuing. An ``incoming`` offer strictly
-    above the reservation already makes the thread profitable, so nothing
-    is fitted and the forecast is its round; an offer exactly at the
-    reservation is still fitted. Once an observation is out of order or out
-    of range, every later call advises ``continue``.
-    """
-    deadline = table.profile.deadline
-    state.columns.extend(((incoming.round / deadline, incoming.utility_receiver),))
-    if state.mode == "warm-up":
-        return Advice(kind="none")
-    if state.columns.problem is not None:
-        return Advice(kind="continue")
-    if incoming.utility_receiver > table.reservation:
-        return Advice(kind="acceptance-forecast", t_star=float(incoming.round))
+    me, deadline = table.profile.agent_id, table.profile.deadline
+    points = tuple(
+        (row.round / deadline, row.utility_receiver)
+        for row in trace
+        if row.proposer != me and row.action == "offer"
+    )
     try:
-        fit = select_model(state.columns)
-    except DegenerateDataError:
+        fit = select_model(ObservationSeries(points=points))
+    except (DataError, DegenerateDataError):
         return Advice(kind="continue")
     t_star = estimate_crossing(fit, table.reservation, 1.0)
     if t_star is None:

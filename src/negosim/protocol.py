@@ -24,7 +24,7 @@ from .domain import (
     is_int,
     total_profit,
 )
-from .prediction import PredictorState, advise
+from .prediction import advise
 from .tactics import OfferTable, Tactic
 
 DEFAULT_MAX_ROUNDS = 100
@@ -206,7 +206,13 @@ def run_session(
     ``predictor_config`` (a :class:`negosim.prediction.PredictorConfig` or a
     mapping ``{agent_id: config}``) arms per-agent behavior prediction.
     Check order on a responding turn: deadline withdrawal, threshold /
-    divergence termination, predictor advice, then accept-or-counter.
+    divergence termination, the predictor, then accept-or-counter. The
+    predictor is a gate and a fit: a predicting party consults
+    :func:`~negosim.prediction.advise`, which fits the opponent's offers in
+    the trace, only once it answers its ``warmup``-th offer and only when
+    the offer answered is at or below its reservation. Proposers alternate,
+    so at round r a party answers its (r + 1) // 2-th offer and warm-up
+    ends at round 2 * warmup - 1.
     ``max_rounds`` and ``divergence_window`` must pass :func:`settings_problems`.
     Each party's :class:`~negosim.tactics.OfferTable` is built before round 0,
     so a profile it rejects raises :class:`~negosim.domain.InvalidProfileError`
@@ -233,24 +239,25 @@ def run_session(
 
     if tables is None:
         tables = {}
-    # per party, opener first: its offer table, its tactic and its predictor
+    # per party, opener first: its offer table, its tactic and the first
+    # round its predictor may advise on, max_rounds (never) for no predictor
     sides = []
     for profile, tactic in ((profile_a, tactic_a), (profile_b, tactic_b)):
         config = predictor_config
         if isinstance(config, Mapping):
             config = config.get(profile.agent_id)
-        predictor = PredictorState(config) if config is not None and config.enabled else None
+        advised_from = 2 * config.warmup - 1 if config is not None and config.enabled else max_rounds
         table = tables.get(id(profile))
         if table is None or table.profile is not profile:
             table = tables[id(profile)] = OfferTable(profile)
-        sides.append((table, tactic, predictor))
+        sides.append((table, tactic, advised_from))
     if opener != ids[0]:
         sides.reverse()
 
     trace = SessionTrace()
     standing: TraceRow | None = None  # the offer on the table, as its proposer recorded it
     for round_no in range(max_rounds):
-        table, tactic, predictor = sides[round_no % 2]
+        table, tactic, advised_from = sides[round_no % 2]
         other = sides[1 - round_no % 2][0]
         profile = table.profile
         me = profile.agent_id
@@ -270,9 +277,13 @@ def run_session(
                 outcome = SessionOutcome(kind="withdrawal", round=round_no, party=me)
             else:
                 reason = check_termination(trace, profile, divergence_window)
-                if reason is None and predictor is not None:
-                    if advise(predictor, standing, table).kind == "terminate-unprofitable":
-                        reason = "unprofitable"
+                if (
+                    reason is None
+                    and round_no >= advised_from
+                    and mine <= table.reservation
+                    and advise(trace, table).kind == "terminate-unprofitable"
+                ):
+                    reason = "unprofitable"
                 if reason is not None:
                     action = f"terminate-{reason}"
                     outcome = SessionOutcome(

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from negosim.domain import DiscretizationScheme, OfferVector, reservation_utility
+from negosim.domain import (
+    DiscretizationScheme,
+    Issue,
+    IssueOption,
+    OfferVector,
+    make_profile,
+    reservation_utility,
+)
 from negosim.prediction import (
     Advice,
     DataError,
@@ -15,12 +22,10 @@ from negosim.prediction import (
     NotTrainedError,
     ObservationSeries,
     PredictorConfig,
-    PredictorState,
     RegressionDomainError,
     RegressionFit,
     FAMILIES,
     SSE_TIE_EPS,
-    _Columns,
     _fit,
     _lstsq,
     advise,
@@ -36,7 +41,7 @@ from negosim.prediction import (
 )
 from negosim import prediction, protocol
 from negosim.protocol import SessionTrace, TraceRow, run_session
-from negosim.tactics import OfferTable
+from negosim.tactics import OfferTable, Tactic
 
 from conftest import ladder_profile, random_profile
 from test_protocol import random_tactic, rerated
@@ -66,14 +71,55 @@ def incoming_trace(profile, utilities, rounds=None):
     return trace
 
 
-def advise_each(state, trace, profile):
-    """The advice on the last of the opponent's offers in ``trace``, when
-    advise() is handed each of them once, in order, as run_session does."""
-    table, advice = OfferTable(profile), None
-    for row in trace:
-        if row.proposer != profile.agent_id and row.action == "offer":
-            advice = advise(state, row, table)
-    return advice
+def opponent_points(rows, profile):
+    """The opponent's offers in ``rows`` as advise observes them: (round /
+    deadline, utility under ``profile``), in trace order."""
+    return tuple(
+        (row.round / profile.deadline, row.utility_receiver)
+        for row in rows
+        if row.proposer != profile.agent_id and row.action == "offer"
+    )
+
+
+class Scripted(Tactic):
+    """The opener's tactic: at round 2k, the ladder option worth utilities[k] to the agent."""
+
+    def __init__(self, utilities):
+        self.utilities = utilities
+
+    def propose(self, table, trace, round):
+        return OfferVector({"value": f"p{int(self.utilities[round // 2]) // 10}"})
+
+
+class Holdout(Tactic):
+    """Always p9: worth 90 on the ladder, 10 on the reversed ladder."""
+
+    def propose(self, table, trace, round):
+        return OfferVector({"value": "p9"})
+
+
+def answer(monkeypatch, utilities, deadline, reservation, warmup):
+    """A session in which the opponent opens and offers the agent, every other
+    round, the ladder options worth ``utilities`` to it, and the agent, which
+    predicts, counters with p9 until it has answered them all. Neither party
+    accepts and no other rule ends the session. Returns its outcome and trace,
+    and the rounds at which run_session called advise."""
+    agent = ladder_profile(deadline=deadline, reservation=reservation)
+    reversed_ladder = Issue("value", tuple(IssueOption(f"p{i}", 10.0 * (10 - i)) for i in range(11)))
+    opponent = make_profile("opponent", [reversed_ladder], {"value": 100.0}, deadline=1000)
+    live_advise, called = protocol.advise, []
+
+    def recorded_advise(trace, table):
+        called.append(len(trace))
+        return live_advise(trace, table)
+
+    monkeypatch.setattr(protocol, "advise", recorded_advise)
+    outcome, trace = run_session(
+        agent, opponent, Holdout(), Scripted(utilities),
+        predictor_config={"agent": PredictorConfig(enabled=True, warmup=warmup)},
+        max_rounds=2 * len(utilities), opener="opponent",
+    )
+    return outcome, trace, called
 
 
 def no_fit(cols):
@@ -124,9 +170,7 @@ class TestObservationSeries:
             series(*points)
 
     def test_large_integer_time_is_stored_as_its_float(self):
-        grown = series((10**200, 50.0)).columns
-        assert grown.times == [1e200]
-        assert grown.problem is None
+        assert series((10**200, 50.0)).times == (1e200,)
 
 
 class TestFitRegression:
@@ -198,6 +242,17 @@ class TestFitRegression:
         points = tuple((k * 1e200, 10.0 * k) for k in (1, 2, 3))
         with pytest.raises(DegenerateDataError):
             fit_regression(series(*points), "quadratic")
+
+    def test_design_past_the_float_range_never_reaches_lapack(self, capfd):
+        # handed the quadratic design's infinite t², LAPACK prints "On entry to
+        # DLASCL parameter number 4 had an illegal value" (OpenBLAS to stdout)
+        s = series((1e200, 10.0), (2e200, 20.0), (3e200, 30.0))
+        with pytest.raises(DegenerateDataError):
+            select_model(s)
+        with pytest.raises(DegenerateDataError):
+            fit_regression(s, "quadratic")
+        out, err = capfd.readouterr()
+        assert (out, err) == ("", "")
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
@@ -469,103 +524,114 @@ def test_bad_predictor_config_rejected_at_construction(fields):
 
 
 class TestAdvise:
-    def state(self, warmup=5):
-        return PredictorState(PredictorConfig(enabled=True, warmup=warmup))
-
-    def test_warmup_gives_no_advice(self):
-        profile = ladder_profile(deadline=10)
-        trace = incoming_trace(profile, [10.0, 20.0, 30.0])
-        state = self.state()
-        assert advise_each(state, trace, profile) == Advice(kind="none")
-        assert state.mode == "warm-up"
+    def test_warmup_gives_no_advice(self, monkeypatch):
+        # the agent answers its offers at rounds 1, 3, 5, ...: the third, at round 5, ends warm-up
+        outcome, _, called = answer(monkeypatch, [10, 20, 30, 40, 50], 10, 60.0, warmup=3)
+        assert called == [5, 7, 9]
+        assert outcome.kind == "deadline-expiry"
 
     def test_rising_offers_forecast_acceptance(self):
-        # a reservation above the latest offer, 50, keeps the fit from being skipped
         profile = ladder_profile(deadline=20, reservation=60.0)
         trace = incoming_trace(profile, [10.0, 20.0, 30.0, 40.0, 50.0], rounds=[0, 2, 4, 6, 8])
-        state = self.state()
-        advice = advise_each(state, trace, profile)
+        advice = advise(trace, OfferTable(profile))
         assert advice.kind == "acceptance-forecast"
         # linear trend u = 10 + 5*round reaches 60 at round 10
         assert advice.t_star == pytest.approx(10.0)
-        assert state.mode == "active"
 
     def test_crossing_past_the_float_range_advises_termination(self):
         # power fit u = 30 t^0.001 (t = round / 40) reaches 90 at t = 3^1000, past any float
         profile = ladder_profile(deadline=40, reservation=90.0)
         rounds = list(range(1, 20, 2))
         trace = incoming_trace(profile, [30.0 * (r / 40) ** 0.001 for r in rounds], rounds=rounds)
-        state = self.state()
-        advice = advise_each(state, trace, profile)
-        fit = select_model(state.columns)
+        advice = advise(trace, OfferTable(profile))
+        fit = select_model(series(*opponent_points(trace, profile)))
         assert (fit.family, fit.b) == ("power", pytest.approx(0.001))
         assert advice.kind == "terminate-unprofitable"
 
     def test_flat_low_offers_advise_termination(self):
         profile = ladder_profile(deadline=10, reservation=80.0)
         trace = incoming_trace(profile, [30.0, 30.0, 30.0, 30.0, 30.0], rounds=[0, 2, 4, 6, 8])
-        advice = advise_each(self.state(), trace, profile)
-        assert advice.kind == "terminate-unprofitable"
+        assert advise(trace, OfferTable(profile)).kind == "terminate-unprofitable"
 
     def test_degenerate_history_advises_continue(self):
-        # active immediately but with too few points for any fit; the latest
-        # offer is at the reservation, not above it, so the fit is tried
+        # too few points for any fit
         profile = ladder_profile(deadline=10, reservation=40.0)
         trace = incoming_trace(profile, [30.0, 40.0])
-        advice = advise_each(self.state(warmup=2), trace, profile)
-        assert advice.kind == "continue"
+        assert advise(trace, OfferTable(profile)).kind == "continue"
 
     def test_power_intercept_beyond_float_advises_continue(self):
-        # rounds 50..52 of 10**6: the power fit's exp(log a) overflows; a
-        # reservation at the latest offer keeps the fit from being skipped
+        # rounds 50..52 of 10**6: the power fit's exp(log a) overflows
         profile = ladder_profile(deadline=10**6, reservation=100.0)
         trace = incoming_trace(profile, [1.0, 50.0, 100.0], rounds=[50, 51, 52])
-        advice = advise_each(self.state(warmup=3), trace, profile)
-        assert advice.kind == "continue"
+        assert advise(trace, OfferTable(profile)).kind == "continue"
 
-    def test_offers_above_the_reservation_forecast_the_round_answered(self, monkeypatch):
-        # the offer answered, 60, is above the reservation of 40, so nothing is fitted
-        profile = ladder_profile(deadline=10, reservation=40.0)
-        trace = incoming_trace(profile, [50.0, 60.0, 50.0, 70.0, 60.0], rounds=[0, 2, 4, 6, 8])
-        state = self.state()
+    @pytest.mark.parametrize(
+        "fault", ["backwards", 100.5, -1.0, math.nan], ids=["round", "above", "below", "nan"]
+    )
+    def test_broken_series_advises_continue(self, fault):
+        # a hand-built trace can break a series rule; a session's cannot
+        profile = ladder_profile(deadline=10, reservation=80.0)
+        rows = list(incoming_trace(profile, [30.0, 30.0, 30.0, 30.0], rounds=[0, 2, 4, 6]))
+        last = rows[-1]
+        rows[-1] = replace(last, round=3) if fault == "backwards" else replace(last, utility_receiver=fault)
+        assert advise(rows[:-1], OfferTable(profile)).kind == "terminate-unprofitable"
+        assert advise(rows, OfferTable(profile)) == Advice(kind="continue")
+
+    def test_offers_above_the_reservation_are_not_fitted(self, monkeypatch):
+        # every offer answered, 50 to 70, is above the reservation of 40
+        utilities = [50.0, 60.0, 50.0, 70.0, 60.0]
         monkeypatch.setattr(prediction, "select_model", no_fit)
-        assert advise_each(state, trace, profile) == Advice("acceptance-forecast", t_star=8.0)
-        monkeypatch.undo()
-        assert estimate_crossing(select_model(state.columns), 40.0, 1.0) == 0.0
+        outcome, trace, called = answer(monkeypatch, utilities, 10, 40.0, warmup=0)
+        assert called == []
+        assert outcome.kind == "deadline-expiry"
+        profile = ladder_profile(deadline=10, reservation=40.0)
+        assert estimate_crossing(select_model(series(*opponent_points(trace, profile))), 40.0, 1.0) == 0.0
 
     def test_zigzag_above_the_reservation_is_not_terminated(self, monkeypatch):
         # the linear fit to 10, 60, 10, ... never reaches 50 by the deadline,
         # but the offer answered, 60, is above it: the thread is profitable
-        profile = ladder_profile(deadline=10, reservation=50.0)
-        trace = incoming_trace(profile, [10, 60, 10, 60, 10, 60], rounds=[0, 2, 4, 6, 8, 10])
-        state = self.state(warmup=6)  # active from the sixth offer on
+        utilities = [10, 60, 10, 60, 10, 60]
         monkeypatch.setattr(prediction, "select_model", no_fit)
-        assert advise_each(state, trace, profile) == Advice("acceptance-forecast", t_star=10.0)
-        monkeypatch.undo()
-        assert estimate_crossing(select_model(state.columns), 50.0, 1.0) is None
+        # active from the sixth offer on, answered at round 11
+        outcome, trace, called = answer(monkeypatch, utilities, 11, 50.0, warmup=6)
+        assert called == []
+        assert outcome.kind == "deadline-expiry"
+        profile = ladder_profile(deadline=11)
+        assert estimate_crossing(select_model(series(*opponent_points(trace, profile))), 50.0, 1.0) is None
 
     def test_latest_offer_at_the_reservation_is_fitted(self, monkeypatch):
         # equal is not above: the fit decides, and this one never reaches 60
-        profile = ladder_profile(deadline=10, reservation=60.0)
-        trace = incoming_trace(profile, [10, 60, 10, 60, 10, 60], rounds=[0, 2, 4, 6, 8, 10])
         fitted = []
 
-        def recorded_fit(cols):
-            fitted.append(len(cols))
-            return select_model(cols)
+        def recorded_fit(series):
+            fitted.append(len(series))
+            return select_model(series)
 
         monkeypatch.setattr(prediction, "select_model", recorded_fit)
-        advice = advise_each(self.state(warmup=6), trace, profile)
-        assert fitted == [6]
-        assert advice == Advice(kind="terminate-unprofitable")
+        outcome, _, called = answer(monkeypatch, [10, 60, 10, 60, 10, 60], 11, 60.0, warmup=6)
+        assert called == [11] and fitted == [6]
+        assert (outcome.round, outcome.reason) == (11, "unprofitable")
 
-    def test_observations_rebuilt_from_trace(self):
+    def test_the_gate_opens_at_the_reservation_and_not_a_ulp_above(self, monkeypatch):
+        outcome, _, called = answer(monkeypatch, [60] * 6, 11, 60.0, warmup=3)
+        assert called[0] == 5
+        below = math.nextafter(60.0, 0.0)  # every offer answered is a ulp above it
+        outcome, _, called = answer(monkeypatch, [60] * 6, 11, below, warmup=3)
+        assert called == []
+        assert outcome.kind == "deadline-expiry"
+
+    def test_observations_rebuilt_from_trace(self, monkeypatch):
         profile = ladder_profile(deadline=10)
         trace = incoming_trace(profile, [10.0, 20.0], rounds=[0, 2])
-        state = self.state()
-        advise_each(state, trace, profile)
-        assert state.columns.times == [0.0, 0.2]
-        assert state.columns.utilities == [10.0, 20.0]
+        seen = []
+
+        def recorded_fit(series):
+            seen.append(series)
+            return select_model(series)
+
+        monkeypatch.setattr(prediction, "select_model", recorded_fit)
+        assert advise(trace, OfferTable(profile)) == Advice(kind="continue")
+        assert [(s.times, s.utilities) for s in seen] == [((0.0, 0.2), (10.0, 20.0))]
 
 
 def fit_or_error(series):
@@ -577,34 +643,36 @@ def fit_or_error(series):
 
 
 def rebuilt_advice(rows, profile, warmup):
-    """Reference: the advice from a series rebuilt, and checked, from the whole
-    trace, and the one-shot fit (or its error type) behind it, None if none.
+    """Reference: whether run_session's gate calls advise on the last of the
+    opponent's offers in ``rows``, the advice from a series rebuilt, and
+    checked, from all of them, and the one-shot fit (or its error type)
+    behind it, None if the series breaks a rule.
 
-    Where the offer answered is above the reservation, the advice is a
-    forecast of its round; the one-shot fit is made anyway.
+    During warm-up there is neither advice nor fit: ``(False, None, None)``.
+    After it, the gate is open where the offer answered is at or below the
+    reservation; the advice and the fit are made either way.
     """
-    incoming = [r for r in rows if r.proposer != profile.agent_id and r.action == "offer"]
-    points = tuple((r.round / profile.deadline, r.utility_receiver) for r in incoming)
+    points = opponent_points(rows, profile)
     if len(points) < warmup:
-        return Advice(kind="none"), None
+        return False, None, None
+    reservation = reservation_utility(profile)
+    due = points[-1][1] <= reservation
     try:
         series = ObservationSeries(points=points)
     except DataError:
-        return Advice(kind="continue"), None
-    reservation = reservation_utility(profile)
+        return due, Advice(kind="continue"), None
     fit = fit_or_error(series)
-    if incoming[-1].utility_receiver > reservation:
-        return Advice(kind="acceptance-forecast", t_star=float(incoming[-1].round)), fit
     if isinstance(fit, type):
-        return Advice(kind="continue"), fit
+        return due, Advice(kind="continue"), fit
     t_star = estimate_crossing(fit, reservation, 1.0)
     if t_star is None:
-        return Advice(kind="terminate-unprofitable"), fit
-    return Advice(kind="acceptance-forecast", t_star=t_star * profile.deadline), fit
+        return due, Advice(kind="terminate-unprofitable"), fit
+    return due, Advice(kind="acceptance-forecast", t_star=t_star * profile.deadline), fit
 
 
 def test_incremental_state_matches_the_rebuilt_series_randomized():
-    # the advice after each incoming row equals the advice rebuilt from the rows so far
+    # after each incoming row past warm-up, advise on the rows so far equals
+    # the advice rebuilt from them, whether or not the gate is open
     rng = random.Random(2024)
     kinds = set()
     broken_calls, skipped = 0, 0
@@ -613,7 +681,6 @@ def test_incremental_state_matches_the_rebuilt_series_randomized():
         profile = ladder_profile(deadline=rng.randint(5, 60), reservation=reservation)
         table = OfferTable(profile)
         warmup = rng.randint(0, 6)
-        state = PredictorState(PredictorConfig(enabled=True, warmup=warmup))
         start, slope = rng.uniform(0.0, 100.0), rng.uniform(-1.0, 1.5)
         on_ladder = rng.random() < 0.3  # multiples of 10: ties, zeros and flat runs
         faulty = rng.random() < 0.3
@@ -637,17 +704,18 @@ def test_incremental_state_matches_the_rebuilt_series_randomized():
                 last_time = time
                 theirs = OfferVector({"value": "p5"})
                 rows.append(TraceRow(round_no, "opponent", theirs, 100.0 - u, u, "offer"))
-                expected, fit = rebuilt_advice(rows, profile, warmup)
-                advice = advise(state, rows[-1], table)
+                due, expected, fit = rebuilt_advice(rows, profile, warmup)
+                if expected is None:
+                    kinds.add("warm-up")
+                    continue
+                advice = advise(rows, table)
                 assert advice == expected
-                if fit is not None:  # the grown columns fit as the one-shot series
-                    assert fit_or_error(state.columns) == fit
-                    skipped += rows[-1].utility_receiver > table.reservation
-                if broken and state.mode == "active":
+                skipped += fit is not None and not due
+                if broken:
                     assert advice.kind == "continue"
                     broken_calls += 1
                 kinds.add(advice.kind)
-    assert kinds == {"none", "continue", "terminate-unprofitable", "acceptance-forecast"}
+    assert kinds == {"warm-up", "continue", "terminate-unprofitable", "acceptance-forecast"}
     assert broken_calls > 100
     assert skipped > 1000
 
@@ -691,66 +759,76 @@ def test_lstsq_rejects_and_truncates_as_numpy_does():
 @pytest.mark.parametrize("first_time, zero_utility_at", [(0.0, None), (0.01, None), (0.01, 40)])
 @pytest.mark.parametrize("chunk", [1, 3, 16])
 def test_grown_columns_fit_as_the_one_shot_series(first_time, zero_utility_at, chunk):
-    # t = 0 or u = 0 anywhere makes power inadmissible from then on
+    # advise rebuilds its series from the trace at each fit: the series of a
+    # prefix grown chunk points at a time fits as each family's fit of its
+    # columns, and t = 0 or u = 0 anywhere makes power inadmissible from then on
     rng = random.Random(5)
     points = [(first_time, rng.uniform(1.0, 100.0))]
     for i in range(1, 71):
         u = 0.0 if i == zero_utility_at else rng.uniform(1.0, 100.0)
         points.append((points[-1][0] + rng.uniform(0.001, 0.05), u))
-    grown = _Columns()
     for lo in range(0, len(points), chunk):
-        grown.extend(points[lo : lo + chunk])
+        grown = series(*points[: lo + chunk])
+        positive = first_time > 0 and (zero_utility_at is None or len(grown) <= zero_utility_at)
+        assert grown.positive == positive
         if len(grown) >= 3:
-            series = ObservationSeries(points=tuple(points[: len(grown)]))
-            assert select_model(grown) == select_model(series), len(grown)
-            for family in FAMILIES if grown.positive else ("linear", "quadratic"):
-                one_shot = fit_regression(series, family)
-                t, u = np.array(grown.times), np.array(grown.utilities)
-                assert _fit(family, t, u) == one_shot
+            t, u = np.array(grown.times), np.array(grown.utilities)
+            fits = [_fit(family, t, u) for family in FAMILIES if positive or family != "power"]
+            assert [fit_regression(grown, fit.family) for fit in fits] == fits
+            assert select_model(grown) in fits
     assert grown.positive == (first_time > 0 and zero_utility_at is None)
 
 
 def test_advise_in_sessions_matches_the_one_shot_fit_randomized(monkeypatch):
-    # every live advise() equals a from-scratch fit of the opponent's offers so
-    # far, and each session hands a party every opponent offer once, in order;
-    # a replay with one observation corrupted covers series that turn invalid
+    # at every responding round, run_session calls advise exactly where the
+    # reference's gate is open, advise equals a from-scratch fit of the
+    # opponent's offers so far, and the session ends unprofitable exactly
+    # where that fit says so; a replay with one observation corrupted covers
+    # series that break a rule
     rng = random.Random(8080)
     calls, invalid_calls, skipped, kinds = 0, 0, 0, set()
     live_advise = protocol.advise
-    handed = {}  # per predictor state: its agent and the rows it was handed
+    advised = {}  # (agent, round) -> the advice run_session got
 
-    def checked_advise(state, incoming, table):
-        nonlocal calls, skipped
-        _, rows = handed.setdefault(state, (table.profile.agent_id, []))
-        rows.append(incoming)
-        advice = live_advise(state, incoming, table)
-        expected, fit = rebuilt_advice(rows, table.profile, state.config.warmup)
-        assert advice == expected
-        if fit is not None:
-            assert fit_or_error(state.columns) == fit
-            skipped += incoming.utility_receiver > table.reservation
-        calls += 1
-        kinds.add(advice.kind)
+    def recorded_advise(trace, table):
+        advice = live_advise(trace, table)
+        advised[table.profile.agent_id, len(trace)] = advice
         return advice
 
-    monkeypatch.setattr(protocol, "advise", checked_advise)
+    monkeypatch.setattr(protocol, "advise", recorded_advise)
     for n in range(200):
         # longer deadlines than random_profile's give longer series
         a = replace(random_profile(rng, "a"), deadline=rng.randint(5, 60))
         b = replace(rerated(rng, a, "b"), deadline=rng.randint(5, 60))
         warmup = rng.randint(0, 5)
-        handed = {}
+        advised.clear()
         _, trace = run_session(
             a, b, random_tactic(rng), random_tactic(rng),
             predictor_config=PredictorConfig(enabled=True, warmup=warmup),
             max_rounds=rng.randint(10, 80), opener=rng.choice("ab"),
         )
-        for me, rows in handed.values():
-            theirs = [r for r in trace.rows if r.proposer != me and r.action == "offer"]
-            assert rows == theirs[: len(rows)]
+        rows = trace.rows
+        for row in rows[1:]:  # every row from round 1 on answers the standing offer
+            if row.action in ("withdraw", "terminate-threshold", "terminate-diverging"):
+                continue  # ended before the predictor's turn
+            profile = a if row.proposer == "a" else b
+            due, expected, fit = rebuilt_advice(rows[: row.round], profile, warmup)
+            advice = advised.pop((row.proposer, row.round), None)
+            assert (advice is not None) == due, row
+            unprofitable = due and expected.kind == "terminate-unprofitable"
+            assert (row.action == "terminate-unprofitable") == unprofitable
+            if expected is None:
+                continue
+            calls += 1
+            if due:
+                assert advice == expected
+                kinds.add(advice.kind)
+            else:
+                skipped += fit is not None
+        assert not advised  # advise was called at no other round
         if n % 2:
             continue
-        rows = list(trace.rows)
+        rows = list(rows)
         # a observes b's offers; corrupt one of them
         observed = [i for i, r in enumerate(rows) if r.proposer == "b" and r.action == "offer"]
         if not observed:
@@ -758,16 +836,18 @@ def test_advise_in_sessions_matches_the_one_shot_fit_randomized(monkeypatch):
         i = rng.choice(observed)
         rows[i] = replace(rows[i], utility_receiver=rng.choice((100.5, -1.0, math.nan)))
         table = OfferTable(a)
-        state = PredictorState(PredictorConfig(enabled=True, warmup=warmup))
         for stop in observed:
-            expected, fit = rebuilt_advice(rows[: stop + 1], a, warmup)
-            assert advise(state, rows[stop], table) == expected
-            if fit is not None:
-                assert fit_or_error(state.columns) == fit
-            if stop >= i and state.columns.problem is not None and state.mode == "active":
+            _, expected, _ = rebuilt_advice(rows[: stop + 1], a, warmup)
+            if expected is None:
+                continue
+            advice = advise(rows[: stop + 1], table)
+            assert advice == expected
+            kinds.add(advice.kind)
+            if stop >= i:
+                assert advice.kind == "continue"
                 invalid_calls += 1
     assert calls > 500 and invalid_calls > 20 and skipped > 100
-    assert kinds == {"none", "continue", "terminate-unprofitable", "acceptance-forecast"}
+    assert kinds == {"continue", "terminate-unprofitable", "acceptance-forecast"}
 
 
 # --- select_model against a reference that fits every admissible family -----
@@ -836,7 +916,7 @@ def bits(outcome):
     return outcome
 
 
-def check_against_reference(cols: _Columns):
+def check_against_reference(cols: ObservationSeries):
     """Assert that select_model gives the reference's fit, or raises its error
     type, bit for bit; return the reference's outcome."""
     fits = reference_fits(np.array(cols.times), np.array(cols.utilities))
@@ -845,64 +925,93 @@ def check_against_reference(cols: _Columns):
     return expected
 
 
-def test_select_model_matches_the_reference_on_every_long_horizon_fit(monkeypatch):
-    # the benchmark's seed-1 long_horizon sessions, with the columns of every
-    # active advise() checked, whether or not advise fits them; where the offer
-    # answered is above the reservation and nothing is fitted, the fit would
-    # not have terminated the thread either, so no benchmark verdict changes
+def answered_past_warmup(workload):
+    """Per session of a synthetic perfbench workload: its outcome, and for
+    each responding round past the responder's warm-up that reaches the
+    predictor's gate, the responder's reservation, the offer answered and the
+    series of the opponent's offers so far, rebuilt from the trace."""
+    warmup = workload.predictor.warmup
+    for key in range(workload.units):
+        outcome, trace = workload.run(key)
+        profiles = {p.agent_id: p for p in workload.sessions[key][:2]}
+        rows, answers = trace.rows, []
+        for row in rows[1:]:
+            if row.action in ("withdraw", "terminate-threshold", "terminate-diverging"):
+                continue
+            profile = profiles[row.proposer]
+            points = opponent_points(rows[: row.round], profile)
+            if len(points) >= warmup:
+                answered = rows[row.round - 1]
+                answers.append((reservation_utility(profile), answered, series(*points)))
+        yield outcome, answers
+
+
+def test_select_model_matches_the_reference_on_every_long_horizon_fit():
+    # the benchmark's seed-1 long_horizon sessions, with the series of every
+    # responding round past warm-up checked, whether or not the gate fits it;
+    # where the offer answered is above the reservation and nothing is fitted,
+    # the fit would not have terminated the thread either, so no benchmark
+    # verdict changes
     from perfbench import workloads
 
-    live_advise = protocol.advise
     checked, skipped = 0, 0
-
-    def checked_advise(state, incoming, table):
-        nonlocal checked, skipped
-        advice = live_advise(state, incoming, table)
-        cols = state.columns
-        if state.mode == "active" and cols.problem is None:
+    for _, answers in answered_past_warmup(workloads.make("long_horizon", 1, None)):
+        for reservation, answered, cols in answers:
             checked += 1
             expected = check_against_reference(cols)
-            if incoming.utility_receiver > table.reservation:
+            if answered.utility_receiver > reservation:
                 skipped += 1
                 assert isinstance(expected, type) or (
-                    estimate_crossing(expected, table.reservation, 1.0) is not None
-                ), (cols.times, cols.utilities, table.reservation)
-        return advice
-
-    workload = workloads.make("long_horizon", 1, None)
-    monkeypatch.setattr(protocol, "advise", checked_advise)
-    for key in range(workload.units):
-        workload.run(key)
+                    estimate_crossing(expected, reservation, 1.0) is not None
+                ), (cols.times, cols.utilities, reservation)
     assert checked > 20_000 and skipped > 0.9 * checked
 
 
 def test_long_horizon_fits_rarely_and_ends_the_same_sessions(monkeypatch):
-    # seed 1: nearly every active advise() answers an offer above the reservation and
-    # fits nothing, and the 14 sessions whose offers sit flat at the reservation
-    # still go through the fit and end unprofitable
+    # seed 1: nearly every responding round past warm-up answers an offer above
+    # the reservation and fits nothing, the gate fits at every other one, and the
+    # 14 sessions whose offers sit flat at the reservation end unprofitable
     from perfbench import workloads
 
-    live_advise, live_select_model = protocol.advise, prediction.select_model
-    active, fits = 0, 0
-
-    def counted_advise(state, incoming, table):
-        nonlocal active
-        advice = live_advise(state, incoming, table)
-        active += state.mode == "active"
-        return advice
+    live_select_model = prediction.select_model
+    active, due, fits, reasons = 0, 0, 0, []
 
     def counted_select_model(cols):
         nonlocal fits
         fits += 1
         return live_select_model(cols)
 
-    workload = workloads.make("long_horizon", 1, None)
-    monkeypatch.setattr(protocol, "advise", counted_advise)
     monkeypatch.setattr(prediction, "select_model", counted_select_model)
-    reasons = [workload.run(key)[0].reason for key in range(workload.units)]
+    for outcome, answers in answered_past_warmup(workloads.make("long_horizon", 1, None)):
+        reasons.append(outcome.reason)
+        active += len(answers)
+        due += sum(answered.utility_receiver <= reservation for reservation, answered, _ in answers)
     assert active > 20_000
-    assert fits <= 0.02 * active
+    assert fits == due <= 0.02 * active
     assert reasons.count("unprofitable") == 14
+
+
+def test_fit_counts_are_pinned_across_seeds(monkeypatch):
+    # select_model calls over each workload's whole pool: the gate in
+    # run_session fits exactly where advise fitted when it judged every round
+    from perfbench import workloads
+
+    live_select_model, fits = prediction.select_model, 0
+
+    def counted_select_model(cols):
+        nonlocal fits
+        fits += 1
+        return live_select_model(cols)
+
+    monkeypatch.setattr(prediction, "select_model", counted_select_model)
+    counts = {}
+    for name in ("long_horizon", "large_domain"):
+        for seed in range(1, 7):
+            fits, workload = 0, workloads.make(name, seed, None)
+            for key in range(workload.units):
+                workload.run(key)
+            counts.setdefault(name, []).append(fits)
+    assert counts == {"long_horizon": [233, 244, 253, 259, 244, 217], "large_domain": [0] * 6}
 
 
 def test_select_model_matches_the_reference_on_hard_series():
@@ -929,7 +1038,7 @@ def test_select_model_matches_the_reference_on_hard_series():
         [(10**100, 10), (2 * 10**100, 20), (3 * 10**100, 50)],  # t^4 is too large a float
     ]
     for points in cases:
-        check_against_reference(_Columns(points))
+        check_against_reference(series(*points))
     times = [np.array([t for t, _ in points], dtype=float) for points in cases]
     conditions = [np.linalg.cond(np.column_stack([np.ones(len(t)), t, t * t])) for t in times]
     assert sorted(conditions)[-10] > 1e6  # kappa(XᵀX) = kappa(X)² passes 1e12
@@ -941,7 +1050,8 @@ def near_tie_cases(rng, count):
     cases = []
     for _ in range(count):
         times = sorted(rng.sample(range(1, 1000), rng.randint(4, 30)))
-        times = [t / rng.choice((1000, 200)) for t in times]
+        # one scale per time, as drawn; sorted, since a series' times must increase
+        times = sorted({t / rng.choice((1000, 200)) for t in times})
 
         def series_for(k):
             return [(t, 40.0 + 10.0 * t + k * t * t) for t in times]
@@ -966,7 +1076,7 @@ def near_tie_cases(rng, count):
 
 def test_select_model_matches_the_reference_at_near_ties():
     cases = near_tie_cases(random.Random(12), 25)
-    columns = [_Columns(points) for points in cases]
+    columns = [series(*points) for points in cases]
     winners = {select_model(cols).family for cols in columns}
     assert winners == {"linear", "quadratic"}
     for cols in columns:
@@ -989,4 +1099,4 @@ def test_select_model_matches_the_reference_randomized():
         else:  # quadratic with noise
             u = 50 + rng.normal(0, 10) * times + rng.normal(0, 10) * times**2 + rng.normal(0, 0.1, n)
         u = np.clip(u, 0.0, 100.0)
-        check_against_reference(_Columns(list(zip(times.tolist(), u.tolist()))))
+        check_against_reference(series(*zip(times.tolist(), u.tolist())))
