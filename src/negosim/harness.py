@@ -12,10 +12,10 @@ import csv
 import io
 import re
 import stat
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import yaml
 
@@ -48,20 +48,66 @@ from .protocol import (
     run_session,
     settings_problems,
 )
-from .tactics import ParameterError, Tactic, TimeDependentTactic, tactic_from_dict
+from .tactics import ParameterError, Tactic, tactic_from_dict
 
 SCHEMA_VERSION = 1
 MODES = ("bilateral", "one-to-many")
-# the keys of each mapping a scenario file holds; tactics and predictors check their own
-_TOP_LEVEL_KEYS = (
-    "schema_version", "seed", "mode", "opener", "max_rounds", "divergence_window",
-    "issues", "agents", "coordination",
-)
-_ISSUE_KEYS = ("name", "options")
-_AGENT_KEYS = (
-    "id", "role", "deadline", "reservation_utility", "weights", "ratings", "tactic", "predictor",
-)
-_COORDINATION_KEYS = ("buyer", "suppliers", "strategy", "theta")
+_REQUIRED = object()  # the default of a key a file must set
+
+
+class _Field(NamedTuple):
+    """How :func:`_fields` reads one key; ``accepts`` checks the type, and None takes any."""
+
+    accepts: Callable[[object], bool] | None = None
+    what: str = ""  # what an accepted value is, for the diagnostic
+    default: object = _REQUIRED
+    stand_in: object = None  # read after a violation, so the rest is still checked
+
+
+def _is_name(value) -> bool:
+    return isinstance(value, str) and value != ""
+
+
+def _is_mapping(value) -> bool:
+    return isinstance(value, dict)
+
+
+def _is_entries(value) -> bool:
+    return isinstance(value, list) and value != []
+
+
+# one table per mapping a scenario file holds; each tactic reads its own. No table
+# states a range: settings_problems, validate_profile, PredictorConfig,
+# CoordinationPlan and the tactics check theirs, for Python callers too
+_TOP_LEVEL = {
+    "schema_version": _Field(lambda v: v == SCHEMA_VERSION, str(SCHEMA_VERSION)),
+    "seed": _Field(is_int, "an integer"),
+    "mode": _Field(MODES.__contains__, f"one of {MODES}", "bilateral", "bilateral"),
+    "opener": _Field(_is_name, "an agent id", None),  # None: the mode picks the default
+    "max_rounds": _Field(default=DEFAULT_MAX_ROUNDS),
+    "divergence_window": _Field(default=DEFAULT_DIVERGENCE_WINDOW),
+    "issues": _Field(_is_entries, "a non-empty list", stand_in=[]),
+    "agents": _Field(_is_entries, "a non-empty list", stand_in=[]),
+    "coordination": _Field(_is_mapping, "a mapping", None),
+}
+_ISSUE = {"name": _Field(), "options": _Field()}  # checked first, to name the issue
+_AGENT = {
+    "id": _Field(),  # checked first, to name the agent
+    "role": _Field(lambda v: isinstance(v, str), "a string", None),
+    "deadline": _Field(is_int, "an integer", stand_in=1),
+    "reservation_utility": _Field(lambda v: v is None or is_number(v), "a number", None),
+    "weights": _Field(_is_mapping, "a mapping", {}, {}),
+    "ratings": _Field(_is_mapping, "a mapping", {}, {}),
+    "tactic": _Field(default={"family": "time-dependent"}),
+    "predictor": _Field(lambda v: v is None or _is_mapping(v), "a mapping", None),
+}
+_PREDICTOR = {field.name: _Field(default=field.default) for field in fields(PredictorConfig)}
+_COORDINATION = {
+    "buyer": _Field(default=None),  # it must name a declared agent
+    "suppliers": _Field(_is_entries, "a list of one or more agent ids", stand_in=()),
+    "strategy": _Field(default=None),
+    "theta": _Field(default=None),
+}
 
 
 class ScenarioError(NegotiationError):
@@ -152,36 +198,21 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(str(path), ["top level must be a mapping"])
 
     violations: list[str] = []
-    _check_keys(raw, _TOP_LEVEL_KEYS, "top level", violations)
-    if raw.get("schema_version") != SCHEMA_VERSION:
-        violations.append(
-            f"schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}"
-        )
-    seed = raw.get("seed")
-    if not is_int(seed):
-        violations.append("seed is required and must be an integer (determinism contract)")
-    mode = raw.get("mode", "bilateral")
-    if mode not in MODES:
-        violations.append(f"mode must be one of {MODES}, got {mode!r}")
-    max_rounds = raw.get("max_rounds", DEFAULT_MAX_ROUNDS)
-    divergence_window = raw.get("divergence_window", DEFAULT_DIVERGENCE_WINDOW)
-    violations += settings_problems(max_rounds, divergence_window)
+    top = _fields(raw, _TOP_LEVEL, "top level", violations)
+    mode, issues_raw, agents_raw = top["mode"], top["issues"], top["agents"]
+    violations += settings_problems(top["max_rounds"], top["divergence_window"])
 
     alphabet: list[tuple[str, tuple[str, ...]]] = []
-    issues_raw = raw.get("issues")
-    if not isinstance(issues_raw, list) or not issues_raw:
-        violations.append("issues: a non-empty list is required")
-        issues_raw = []
     for entry in issues_raw:
         name = entry.get("name") if isinstance(entry, dict) else None
         options = entry.get("options") if isinstance(entry, dict) else None
-        if name is None or not isinstance(options, list) or not options:
+        if name is None or not _is_entries(options):
             violations.append(f"issue entry {entry!r} needs a name and a non-empty option list")
             continue
         if not _is_name(name):
             violations.append(f"issue name must be a non-empty string, got {name!r}")
             continue
-        _check_keys(entry, _ISSUE_KEYS, f"issue {name!r}", violations)
+        _fields(entry, _ISSUE, f"issue {name!r}", violations)
         bad_labels = [label for label in options if not _is_name(label)]
         if bad_labels:
             violations.append(
@@ -192,15 +223,8 @@ def load_scenario(path: str | Path) -> Scenario:
     # every name the file lists, so a malformed issue entry is reported once
     declared = [entry.get("name") for entry in issues_raw if isinstance(entry, dict)]
 
-    agents: list[AgentSpec] = []
-    agents_raw = raw.get("agents")
-    if not isinstance(agents_raw, list) or not agents_raw:
-        violations.append("agents: a non-empty list is required")
-        agents_raw = []
-    for entry in agents_raw:
-        spec = _load_agent(entry, alphabet, declared, violations)
-        if spec is not None:
-            agents.append(spec)
+    # None for an agent that did not load, which always lists a violation
+    agents = [_load_agent(entry, alphabet, declared, violations) for entry in agents_raw]
     # every named agent, so one whose profile did not build is not also reported undeclared
     ids = [
         entry["id"] for entry in agents_raw if isinstance(entry, dict) and _is_name(entry.get("id"))
@@ -214,78 +238,77 @@ def load_scenario(path: str | Path) -> Scenario:
     if mode == "bilateral":
         if len(agents_raw) != 2:
             violations.append(f"bilateral mode needs exactly 2 agents, got {len(agents_raw)}")
-        if "coordination" in raw:  # read only in one-to-many mode, so it would mean nothing
+        if top["coordination"] is not None:  # only one-to-many mode reads it, so it means nothing
             violations.append("coordination: only one-to-many mode reads this section")
+    elif top["coordination"] is None:
+        violations.append("one-to-many mode requires a coordination section")
     else:
-        coord = raw.get("coordination")
-        if not isinstance(coord, dict):
-            violations.append("one-to-many mode requires a coordination section")
-        else:
-            _check_keys(coord, _COORDINATION_KEYS, "coordination", violations)
-            buyer_id = coord.get("buyer")
-            if buyer_id not in ids:
-                violations.append(f"coordination buyer {buyer_id!r} is not a declared agent")
-            suppliers = coord.get("suppliers", [])
-            supplier_ids = tuple(suppliers) if isinstance(suppliers, list) else ()
-            missing = [s for s in supplier_ids if s not in ids]
-            if not isinstance(suppliers, list):
-                violations.append(f"coordination suppliers must be a list, got {suppliers!r}")
-            elif missing or not supplier_ids:
-                violations.append(f"coordination suppliers invalid or empty (unknown: {missing})")
-            if buyer_id in supplier_ids:
-                violations.append(f"coordination suppliers must not name the buyer {buyer_id!r}")
-            repeated = [s for i, s in enumerate(supplier_ids) if s in supplier_ids[:i]]
-            if repeated:  # not a set: an entry may be an unhashable YAML list or mapping
-                violations.append(f"coordination suppliers must be unique (repeated: {repeated})")
-            try:
-                plan = CoordinationPlan(
-                    strategy=coord.get("strategy", ""), theta=coord.get("theta")
-                )
-            except PlanError as exc:
-                violations.append(str(exc))
+        coord = _fields(top["coordination"], _COORDINATION, "coordination", violations)
+        buyer_id = coord["buyer"]
+        if buyer_id not in ids:
+            violations.append(f"coordination buyer {buyer_id!r} is not a declared agent")
+        supplier_ids = tuple(coord["suppliers"])
+        unknown = [s for s in supplier_ids if s not in ids]
+        if unknown:
+            violations.append(f"coordination suppliers {unknown} are not declared agents")
+        if buyer_id in supplier_ids:
+            violations.append(f"coordination suppliers must not name the buyer {buyer_id!r}")
+        repeated = [s for i, s in enumerate(supplier_ids) if s in supplier_ids[:i]]
+        if repeated:  # not a set: an entry may be an unhashable YAML list or mapping
+            violations.append(f"coordination suppliers must be unique (repeated: {repeated})")
+        idle = [i for i in ids if i != buyer_id and i not in supplier_ids] if supplier_ids else []
+        if idle:  # they would never negotiate, yet stats.yaml would list their mean utility
+            violations.append(f"coordination: agents {idle} are neither the buyer nor a supplier")
+        try:
+            plan = CoordinationPlan(strategy=coord["strategy"], theta=coord["theta"])
+        except PlanError as exc:
+            violations.append(str(exc))
 
+    opener = top["opener"]
     if mode == "one-to-many":  # the buyer is the one party of every thread
-        opener = raw.get("opener", buyer_id)
-        if buyer_id in ids and opener != buyer_id:
+        if opener is not None and buyer_id in ids and opener != buyer_id:
             violations.append(
                 f"opener {opener!r} must be the coordination buyer {buyer_id!r} in one-to-many mode"
             )
-    else:
-        opener = raw.get("opener", ids[0] if ids else None)
-        if ids and opener not in ids:
-            violations.append(f"opener {opener!r} is not a declared agent")
+        opener = buyer_id
+    elif opener is None:
+        opener = ids[0] if ids else None
+    elif ids and opener not in ids:
+        violations.append(f"opener {opener!r} is not a declared agent")
 
     if violations:
         raise ScenarioError(str(path), violations)
     return Scenario(
-        seed=seed,
+        seed=top["seed"],
         mode=mode,
         opener=opener,
-        max_rounds=max_rounds,
+        max_rounds=top["max_rounds"],
         agents=tuple(agents),
-        divergence_window=divergence_window,
+        divergence_window=top["divergence_window"],
         plan=plan,
         buyer_id=buyer_id,
         supplier_ids=supplier_ids,
     )
 
 
-def _is_name(value) -> bool:
-    return isinstance(value, str) and value != ""
-
-
-def _check_keys(raw: dict, known: tuple[str, ...], where: str, violations: list[str]) -> None:
-    unknown = unknown_keys(raw, known)
+def _fields(raw: dict, table: dict[str, _Field], where: str, violations: list[str]) -> dict:
+    """Every key of ``table`` read from the mapping ``raw``: a key left out (not one set to
+    null) takes its default. A required key left out, a value the field does not accept and
+    an unknown key are listed in ``violations``; the first two take the field's stand-in."""
+    unknown = unknown_keys(raw, table)
     if unknown:
         violations.append(f"{where}: unknown keys {unknown}")
-
-
-def _mapping(entry: dict, key: str, agent_id: str, violations: list[str]) -> dict:
-    value = entry.get(key, {})
-    if isinstance(value, dict):
-        return value
-    violations.append(f"agent {agent_id!r}: {key} must be a mapping, got {value!r}")
-    return {}
+    values = {}
+    for key, (accepts, what, default, stand_in) in table.items():
+        value = raw.get(key, default)
+        if value is _REQUIRED:
+            violations.append(f"{where}: {key} is required and must be {what}")
+            value = stand_in
+        elif key in raw and accepts is not None and not accepts(value):
+            violations.append(f"{where}: {key} must be {what}, got {value!r}")
+            value = stand_in
+        values[key] = value
+    return values
 
 
 def _load_agent(entry, alphabet, declared, violations) -> AgentSpec | None:
@@ -296,45 +319,36 @@ def _load_agent(entry, alphabet, declared, violations) -> AgentSpec | None:
     if not _is_name(agent_id):
         violations.append(f"agent id must be a non-empty string, got {agent_id!r}")
         return None
-    _check_keys(entry, _AGENT_KEYS, f"agent {agent_id!r}", violations)
-    ratings = _mapping(entry, "ratings", agent_id, violations)
+    where = f"agent {agent_id!r}"
+    agent = _fields(entry, _AGENT, where, violations)
+    ratings, weights, deadline = agent["ratings"], agent["weights"], agent["deadline"]
+    reservation = agent["reservation_utility"]
     undeclared = [name for name in ratings if name not in declared]
     if undeclared:
-        violations.append(f"agent {agent_id!r}: ratings for undeclared issues {undeclared}")
-    weights = _mapping(entry, "weights", agent_id, violations)
-    deadline = entry.get("deadline", 0)
-    if not is_int(deadline):
-        violations.append(f"agent {agent_id!r}: deadline must be an integer, got {deadline!r}")
-        deadline = 1  # stand-in so the rest of the profile is still checked
-    reservation = entry.get("reservation_utility")
-    if reservation is not None and not is_number(reservation):
-        violations.append(
-            f"agent {agent_id!r}: reservation_utility must be a number, got {reservation!r}"
-        )
-        reservation = None
+        violations.append(f"{where}: ratings for undeclared issues {undeclared}")
     issues = []
     for name, labels in alphabet:
         issue_ratings = ratings.get(name)
         if not isinstance(issue_ratings, dict):
-            violations.append(f"agent {agent_id!r}: missing ratings for issue {name!r}")
+            violations.append(
+                f"{where}: ratings of issue {name!r} must be a mapping, got {issue_ratings!r}"
+                if name in ratings
+                else f"{where}: missing ratings for issue {name!r}"
+            )
             continue
         extra = set(issue_ratings) - set(labels)
         if extra:
             unknown = sorted(extra, key=repr)  # YAML keys may mix types, e.g. 1 and "x"
-            violations.append(
-                f"agent {agent_id!r}: ratings for unknown options {unknown} of issue {name!r}"
-            )
+            violations.append(f"{where}: ratings for unknown options {unknown} of issue {name!r}")
         options = []
         for label in labels:
             if label not in issue_ratings:
-                violations.append(
-                    f"agent {agent_id!r}: no rating for option {label!r} of issue {name!r}"
-                )
+                violations.append(f"{where}: no rating for option {label!r} of issue {name!r}")
                 continue
             rating = issue_ratings[label]
             if not is_number(rating):
                 violations.append(
-                    f"agent {agent_id!r}: rating for option {label!r} of issue {name!r}"
+                    f"{where}: rating for option {label!r} of issue {name!r}"
                     f" must be a number, got {rating!r}"
                 )
                 continue
@@ -343,11 +357,9 @@ def _load_agent(entry, alphabet, declared, violations) -> AgentSpec | None:
     bad_weights = {k: v for k, v in weights.items() if not (isinstance(k, str) and is_number(v))}
     for name, value in bad_weights.items():
         if not isinstance(name, str):
-            violations.append(f"agent {agent_id!r}: weights key {name!r} must be an issue name")
+            violations.append(f"{where}: weights key {name!r} must be an issue name")
         else:
-            violations.append(
-                f"agent {agent_id!r}: weight of issue {name!r} must be a number, got {value!r}"
-            )
+            violations.append(f"{where}: weight of issue {name!r} must be a number, got {value!r}")
     profile = None
     if not bad_weights:
         try:
@@ -363,25 +375,20 @@ def _load_agent(entry, alphabet, declared, violations) -> AgentSpec | None:
     # weights that cannot build the profile are listed above; the rest is still checked
     checked = profile or PreferenceProfile(agent_id, tuple(issues), {}, deadline, reservation)
     for problem in validate_profile(checked, check_weights=profile is not None):
-        violations.append(f"agent {agent_id!r}: {problem}")
+        violations.append(f"{where}: {problem}")
+    tactic = predictor = None
     try:
-        tactic = tactic_from_dict(entry.get("tactic", {"family": "time-dependent"}))
+        tactic = tactic_from_dict(agent["tactic"])
     except ParameterError as exc:
-        violations.append(f"agent {agent_id!r}: bad tactic spec ({exc})")
-        tactic = TimeDependentTactic()
+        violations.append(f"{where}: bad tactic spec ({exc})")
+    settings = _fields(agent["predictor"] or {}, _PREDICTOR, f"{where}: predictor", violations)
     try:
-        predictor = PredictorConfig.from_dict(entry.get("predictor"))
+        predictor = PredictorConfig(**settings)
     except ValueError as exc:
-        violations.append(f"agent {agent_id!r}: bad predictor spec ({exc})")
-        predictor = PredictorConfig()
-    if profile is None:
+        violations.append(f"{where}: bad predictor spec ({exc})")
+    if profile is None or tactic is None or predictor is None:
         return None
-    return AgentSpec(
-        id=agent_id,
-        profile=profile,
-        tactic=tactic,
-        predictor=predictor,
-    )
+    return AgentSpec(id=agent_id, profile=profile, tactic=tactic, predictor=predictor)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ weighted inputs is available as a trainable next-offer-utility predictor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -20,7 +20,6 @@ from .domain import (
     discretize,
     is_int,
     total_profit,  # not called here; perfbench/test_perfbench.py asserts this binding exists
-    unknown_keys,
 )
 
 if TYPE_CHECKING:
@@ -420,17 +419,6 @@ class PredictorConfig:
             raise ValueError(f"enabled must be true or false, got {self.enabled!r}")
         if not is_int(self.warmup) or self.warmup < 0:
             raise ValueError(f"warmup must be a non-negative integer, got {self.warmup!r}")
-
-    @classmethod
-    def from_dict(cls, raw: dict | None) -> "PredictorConfig":
-        if raw is None:
-            return cls()
-        if not isinstance(raw, dict):
-            raise ValueError(f"must be a mapping, got {raw!r}")
-        unknown = unknown_keys(raw, {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown keys {unknown}")
-        return cls(**raw)  # a key left out takes the field's default
 
 
 @dataclass(frozen=True)

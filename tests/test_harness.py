@@ -279,6 +279,18 @@ class TestLoadScenario:
                 {"red": 5, "blue": 0},
                 "agent 'a': ratings for undeclared issues ['colour']",
             ),
+            (
+                ("agents", 0),
+                {k: v for k, v in MINIMAL["agents"][0].items() if k != "deadline"},
+                "agent 'a': deadline is required and must be an integer",
+            ),
+            (
+                ("agents", 0, "ratings", "price"),
+                [1, 2],
+                "agent 'a': ratings of issue 'price' must be a mapping, got [1, 2]",
+            ),
+            (("agents", 0, "role"), ["seller"], "agent 'a': role must be a string, got ['seller']"),
+            (("agents", 0, "role"), True, "agent 'a': role must be a string, got True"),
         ],
         ids=[
             "seed-bool",
@@ -344,6 +356,10 @@ class TestLoadScenario:
             "coordination-unknown-key",
             "coordination-in-bilateral-mode",
             "ratings-undeclared-issue",
+            "deadline-missing",
+            "issue-ratings-list",
+            "role-list",
+            "role-bool",
         ],
     )
     def test_bad_field_is_a_listed_violation(self, tmp_path, path, value, named):
