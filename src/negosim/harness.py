@@ -9,6 +9,7 @@ random, and output files are byte-stable.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import re
 import stat
@@ -20,6 +21,7 @@ from typing import Callable, NamedTuple, Sequence
 import yaml
 
 from .coordination import (
+    STRATEGIES,
     ContractChoice,
     CoordinationPlan,
     PlanError,
@@ -82,7 +84,7 @@ def _is_entries(value) -> bool:
 _TOP_LEVEL = {
     "schema_version": _Field(lambda v: v == SCHEMA_VERSION, str(SCHEMA_VERSION)),
     "seed": _Field(is_int, "an integer"),
-    "mode": _Field(MODES.__contains__, f"one of {MODES}", "bilateral", "bilateral"),
+    "mode": _Field(MODES.__contains__, f"one of {MODES}", "bilateral"),  # unreadable: None
     "opener": _Field(_is_name, "an agent id", None),  # None: the mode picks the default
     "max_rounds": _Field(default=DEFAULT_MAX_ROUNDS),
     "divergence_window": _Field(default=DEFAULT_DIVERGENCE_WINDOW),
@@ -105,7 +107,7 @@ _PREDICTOR = {field.name: _Field(default=field.default) for field in fields(Pred
 _COORDINATION = {
     "buyer": _Field(default=None),  # it must name a declared agent
     "suppliers": _Field(_is_entries, "a list of one or more agent ids", stand_in=()),
-    "strategy": _Field(default=None),
+    "strategy": _Field(what=f"one of {STRATEGIES}"),
     "theta": _Field(default=None),
 }
 
@@ -240,6 +242,8 @@ def load_scenario(path: str | Path) -> Scenario:
             violations.append(f"bilateral mode needs exactly 2 agents, got {len(agents_raw)}")
         if top["coordination"] is not None:  # only one-to-many mode reads it, so it means nothing
             violations.append("coordination: only one-to-many mode reads this section")
+    elif mode is None:  # listed above; the rules that depend on the mode cannot be checked
+        pass
     elif top["coordination"] is None:
         violations.append("one-to-many mode requires a coordination section")
     else:
@@ -259,10 +263,11 @@ def load_scenario(path: str | Path) -> Scenario:
         idle = [i for i in ids if i != buyer_id and i not in supplier_ids] if supplier_ids else []
         if idle:  # they would never negotiate, yet stats.yaml would list their mean utility
             violations.append(f"coordination: agents {idle} are neither the buyer nor a supplier")
-        try:
-            plan = CoordinationPlan(strategy=coord["strategy"], theta=coord["theta"])
-        except PlanError as exc:
-            violations.append(str(exc))
+        if "strategy" in top["coordination"]:  # left out, it is listed as required above
+            try:
+                plan = CoordinationPlan(strategy=coord["strategy"], theta=coord["theta"])
+            except PlanError as exc:
+                violations.append(str(exc))
 
     opener = top["opener"]
     if mode == "one-to-many":  # the buyer is the one party of every thread
@@ -597,27 +602,98 @@ def write_outputs(
     return written
 
 
-# libyaml's emitter writes the same bytes as the pure-Python one for strings of
-# 1-64 printable ASCII characters; empty, non-ASCII, control and wrapping
-# strings can come out differently, so those documents take the Python emitter
-_C_DUMPER = getattr(yaml, "CSafeDumper", None)
-_C_SAFE_STRING = re.compile(r"[ -~]{1,64}")
+# yaml_text writes the one document shape negosim emits itself, in the bytes of
+# yaml.safe_dump(data, sort_keys=True): a non-empty mapping with string keys holding
+# mappings, lists of mappings and scalars. safe_dump's representer and resolver walk
+# every node in Python even when libyaml emits, which cost more than the writing
+_PLAIN = re.compile(r"[A-Za-z][A-Za-z0-9_-]{0,63}")  # never wraps, never escaped
+# the spellings PyYAML's resolver reads as a bool or null; it writes them single-quoted
+_QUOTED = {
+    spelling
+    for word in ("yes", "no", "true", "false", "on", "off", "null")
+    for spelling in (word, word.capitalize(), word.upper())
+}
+_NONFINITE = {"nan": ".nan", "inf": ".inf", "-inf": "-.inf"}
 
 
-def _c_safe(data) -> bool:
-    if isinstance(data, str):
-        return _C_SAFE_STRING.fullmatch(data) is not None
-    if isinstance(data, dict):
-        return all(_c_safe(k) and _c_safe(v) for k, v in data.items())
-    if isinstance(data, list):
-        return all(map(_c_safe, data))
-    return data is None or isinstance(data, (int, float))  # bool is an int
+class _OffShape(Exception):
+    """The document holds a value :func:`yaml_text` leaves to ``yaml.safe_dump``."""
+
+
+def _float_text(value: float) -> str:
+    """``value`` as PyYAML's ``represent_float`` writes it."""
+    text = repr(value)
+    if "e" in text and "." not in text:  # 1e-05: the float tag needs a point
+        return text.replace("e", ".0e", 1)
+    return _NONFINITE.get(text, text)
+
+
+@functools.lru_cache(maxsize=1024)  # a document repeats its keys and ids many times
+def _str_text(text: str) -> str:
+    if _PLAIN.fullmatch(text) is None:
+        raise _OffShape  # so the string is not cached
+    return f"'{text}'" if text in _QUOTED else text
+
+
+# by exact type, so a subclass, such as a numpy scalar, is off shape
+_SCALAR_TEXT = {
+    str: _str_text,
+    int: str,
+    bool: lambda value: "true" if value else "false",
+    float: _float_text,
+    type(None): lambda value: "null",
+}
+
+
+def _block(mapping: dict, pad: str, out: list[str], seen: set[int]) -> None:
+    """Append the lines of the non-empty ``mapping``, its keys indented by ``pad``."""
+    for key in sorted(mapping):  # keys of mixed types: a TypeError, caught by _direct_text
+        if type(key) is not str:
+            raise _OffShape
+        value = mapping[key]
+        head = f"{pad}{_str_text(key)}:"
+        write = _SCALAR_TEXT.get(type(value))
+        if write is not None:
+            out.append(f"{head} {write(value)}\n")
+            continue
+        if type(value) is not dict and type(value) is not list or id(value) in seen:
+            raise _OffShape  # PyYAML writes a container met twice as an anchor and aliases
+        seen.add(id(value))
+        if not value:
+            out.append(f"{head} {{}}\n" if type(value) is dict else f"{head} []\n")
+            continue
+        out.append(f"{head}\n")
+        if type(value) is dict:
+            _block(value, pad + "  ", out, seen)
+            continue
+        for item in value:  # sequence items sit at their key's indent
+            if type(item) is not dict or id(item) in seen:
+                raise _OffShape
+            seen.add(id(item))
+            if not item:
+                out.append(f"{pad}- {{}}\n")
+                continue
+            first = len(out)
+            _block(item, pad + "  ", out, seen)
+            out[first] = f"{pad}- {out[first][len(pad) + 2:]}"
+
+
+def _direct_text(data) -> str | None:
+    """``data`` as the direct emitter writes it, or None if it is off that emitter's shape."""
+    if type(data) is not dict or not data:
+        return None
+    out: list[str] = []
+    try:
+        _block(data, "", out, {id(data)})
+    except (_OffShape, TypeError):
+        return None
+    return "".join(out)
 
 
 def yaml_text(data) -> str:
     """``data`` as ``yaml.safe_dump(data, sort_keys=True)`` writes it, byte for byte."""
-    dumper = _C_DUMPER if _C_DUMPER is not None and _c_safe(data) else yaml.SafeDumper
-    return yaml.dump(data, Dumper=dumper, sort_keys=True)
+    text = _direct_text(data)
+    return yaml.safe_dump(data, sort_keys=True) if text is None else text
 
 
 def _write_new(path: Path, text: str) -> None:

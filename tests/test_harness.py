@@ -10,6 +10,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -443,6 +444,34 @@ class TestLoadScenario:
             assert scenario.opener == "company_b"
             assert result.exit_code == 0, result.output
 
+    def test_coordination_without_strategy_names_the_required_key(self, tmp_path):
+        raw = yaml.safe_load(bundled_scenario("aircraft_market.scenario").read_text())
+        del raw["coordination"]["strategy"]
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(write_scenario(tmp_path, raw))
+        assert exc.value.violations == [
+            "coordination: strategy is required and must be one of"
+            " ('desperate', 'patient', 'adapted')"
+        ]
+
+    def test_an_unreadable_mode_skips_the_rules_that_depend_on_it(self, tmp_path):
+        raw = yaml.safe_load(bundled_scenario("aircraft_market.scenario").read_text())
+        raw["mode"] = "one_to_many"
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(write_scenario(tmp_path, raw))
+        unreadable = "top level: mode must be one of ('bilateral', 'one-to-many'), got 'one_to_many'"
+        assert exc.value.violations == [unreadable]
+        # the rules that do not depend on the mode are still checked
+        raw["opener"] = "nobody"
+        raw["agents"][1]["weights"]["price"] = 40
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(write_scenario(tmp_path, raw))
+        assert exc.value.violations == [
+            unreadable,
+            "profile 'seller_1': weights sum 90 is not 100",
+            "opener 'nobody' is not a declared agent",
+        ]
+
     def test_market_scenario_has_plan(self, market_scenario):
         assert market_scenario.mode == "one-to-many"
         assert market_scenario.plan.strategy == "adapted"
@@ -817,9 +846,65 @@ TRICKY_IDS = [
     "%x", "@x", "`x", "|", ">", "[x]", "{x}", ",x", "<<", "=", "'", '"', "'q'",
     '"q"', " x", "x ", " " * 64,
 ]
-C_SAFE_IDS = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), min_size=1, max_size=64)
+# in the class: every spelling PyYAML's resolver reads as a bool or null, which it quotes,
+# and near misses, which it does not
+RESERVED_WORDS = [
+    spelling
+    for word in ("yes", "no", "true", "false", "on", "off", "null")
+    for spelling in (word, word.capitalize(), word.upper(), word[:-1] + word[-1].upper())
+] + ["y", "n", "Nul", "nulls", "offer", "one-to-many"]
+PRINTABLE_IDS = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), min_size=1, max_size=64)
+PLAIN_IDS = st.from_regex(r"[A-Za-z][A-Za-z0-9_-]{0,63}", fullmatch=True)
 OUTSIDE_IDS = ["caf\u00e9", "\u2028", "a\rb", "\t", "x" * 65, " ".join(["word"] * 14)]
 SCENARIO_AGENT_IDS = ["company_a", "company_b", "firm_x", "firm_y", "seller_1", "seller_2", "seller_3"]
+HOSTILE_FLOATS = [
+    -0.0, 0.0, 5e-324, 1.1e-308, 2.2250738585072014e-308, 1e16, 1e17, 1e-5, 1.5e-7, 1e300,
+    -1e300, 1.7976931348623157e308, 0.1, 100.0, math.nan, -math.nan, math.inf, -math.inf,
+]
+
+
+def in_class(text) -> bool:
+    """Whether the direct emitter writes the string ``text`` itself."""
+    return re.fullmatch(r"[A-Za-z][A-Za-z0-9_-]{0,63}", text) is not None
+
+
+def stats_documents(off_shape: bool):
+    """Documents of the shape ``stats.yaml`` has: a non-empty mapping with string keys holding
+    mappings, lists of mappings, empty containers, big ints, hostile floats and strings of the
+    class. ``off_shape`` adds strings outside the class and lists of scalars or lists, which
+    the direct emitter leaves to ``yaml.safe_dump``."""
+    outside = [st.sampled_from(TRICKY_IDS + OUTSIDE_IDS)] if off_shape else []
+    strings = st.one_of(PLAIN_IDS, st.sampled_from(RESERVED_WORDS), *outside)
+    scalars = st.one_of(
+        st.integers(),
+        st.integers(min_value=-(2**200), max_value=2**200),
+        st.booleans(),
+        st.none(),
+        st.floats(),
+        st.sampled_from(HOSTILE_FLOATS),
+        strings,
+    )
+    mappings = lambda values: st.dictionaries(strings, values, max_size=5)  # noqa: E731
+    tree = st.recursive(
+        scalars,
+        lambda children: st.one_of(
+            mappings(children),
+            st.lists(mappings(children), max_size=3),
+            *([st.lists(children, min_size=1, max_size=2)] if off_shape else []),
+        ),
+        max_leaves=30,
+    )
+    return st.dictionaries(strings, tree, min_size=1, max_size=6)
+
+
+def on_shape(doc) -> bool:
+    """Whether the direct emitter writes ``doc``: every string is in the class, every key a string,
+    and every list holds only mappings."""
+    if isinstance(doc, dict):
+        return all(isinstance(k, str) and in_class(k) and on_shape(v) for k, v in doc.items())
+    if isinstance(doc, list):
+        return all(isinstance(v, dict) and on_shape(v) for v in doc)
+    return in_class(doc) if isinstance(doc, str) else True
 
 
 @pytest.fixture(scope="module")
@@ -871,17 +956,36 @@ def agent_ids_in(doc) -> set:
     return {doc} & set(SCENARIO_AGENT_IDS)
 
 
+def takes_direct_path(doc) -> bool:
+    return harness._direct_text(doc) is not None
+
+
+def spy_on(function, results):
+    """``function``, appending each result it returns to ``results``."""
+
+    def spy(data):
+        results.append(function(data))
+        return results[-1]
+
+    return spy
+
+
 class TestYamlText:
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(
         ids=st.lists(
-            st.one_of(C_SAFE_IDS, st.sampled_from(TRICKY_IDS), st.sampled_from(OUTSIDE_IDS)),
+            st.one_of(
+                PRINTABLE_IDS,
+                PLAIN_IDS,
+                st.sampled_from(TRICKY_IDS + RESERVED_WORDS),
+                st.sampled_from(OUTSIDE_IDS),
+            ),
             min_size=len(SCENARIO_AGENT_IDS),
             max_size=len(SCENARIO_AGENT_IDS),
             unique=True,
         ),
         seed=st.integers(),
-        floats=st.lists(st.floats(), min_size=1, max_size=8),
+        floats=st.lists(st.one_of(st.floats(), st.sampled_from(HOSTILE_FLOATS)), min_size=1, max_size=8),
     )
     def test_every_document_is_safe_dump_byte_for_byte(self, dumped_documents, ids, seed, floats):
         names = dict(zip(SCENARIO_AGENT_IDS, ids))
@@ -890,21 +994,81 @@ class TestYamlText:
             if "seed" in doc:
                 doc["seed"] = seed
             used = {names[agent] for agent in agent_ids_in(original)}
-            # the ids are the only strings not fixed by the code, so they pick the emitter
-            assert harness._c_safe(doc) == all(re.fullmatch(r"[ -~]{1,64}", i) for i in used)
+            # the ids are the only strings not fixed by the code, so they pick the path
+            assert takes_direct_path(doc) == all(map(in_class, used))
             assert harness.yaml_text(doc) == yaml.safe_dump(doc, sort_keys=True)
 
-    @pytest.mark.parametrize("outside", OUTSIDE_IDS)
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(doc=st.one_of(stats_documents(off_shape=False), stats_documents(off_shape=True)))
+    def test_every_stats_shaped_document_is_safe_dump_byte_for_byte(self, doc):
+        assert takes_direct_path(doc) == on_shape(doc)
+        assert harness.yaml_text(doc) == yaml.safe_dump(doc, sort_keys=True)
+
+    @pytest.mark.parametrize("outside", OUTSIDE_IDS + ["~", "1.5", "0x1F", "- x", "x:", "'q'"])
     def test_an_id_outside_the_class_takes_the_python_emitter(self, dumped_documents, outside):
         for original in dumped_documents:
             doc = relabel(original, {"company_b": outside}, lambda: 0.5)
-            assert harness._c_safe(doc) == ("company_b" not in agent_ids_in(original))
+            assert takes_direct_path(doc) == ("company_b" not in agent_ids_in(original))
             assert harness.yaml_text(doc) == yaml.safe_dump(doc, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {},
+            [{"a": 1}],
+            "text",
+            {"a": {}, "b": []},  # on shape; the control
+            {1: "a", 2: "b"},
+            {"b": 1, 1: 2},  # keys that do not sort: safe_dump keeps their order
+            {"a": [1, 2]},
+            {"a": [[{"b": 1}]]},
+            {"a": (1, 2)},
+            {"a": b"bytes"},
+            {"a": ""},
+            {"a": "x" * 64, "b": "y" * 65},
+        ],
+        ids=repr,
+    )
+    def test_documents_off_the_shape_fall_back(self, doc):
+        assert takes_direct_path(doc) == (doc == {"a": {}, "b": []})
+        assert harness.yaml_text(doc) == yaml.safe_dump(doc, sort_keys=True)
+
+    def test_a_container_met_twice_keeps_its_anchor(self):
+        shared, empty = {"x": 1.5}, {}
+        for doc in ({"a": shared, "b": shared}, {"a": [shared, shared]}, {"a": empty, "b": [empty]}):
+            assert not takes_direct_path(doc)
+            assert "&id001" in harness.yaml_text(doc)
+            assert harness.yaml_text(doc) == yaml.safe_dump(doc, sort_keys=True)
+        recursive = {"a": 1}
+        recursive["self"] = recursive
+        assert harness.yaml_text(recursive) == yaml.safe_dump(recursive, sort_keys=True)
+
+    def test_a_subclass_is_left_to_safe_dump(self):
+        class Count(int):
+            pass
+
+        for value in (Count(3), numpy.float64(0.5), numpy.int64(3)):
+            assert not takes_direct_path({"a": value})
+            with pytest.raises(yaml.representer.RepresenterError):
+                harness.yaml_text({"a": value})
+
+    @pytest.mark.parametrize("command", ["batch", "compare"])
+    @pytest.mark.parametrize("name", sorted(test_golden.GOLDEN_SHA256))
+    def test_bundled_documents_take_the_direct_path(self, command, name, tmp_path, monkeypatch):
+        documents = []
+        monkeypatch.setattr(harness, "_direct_text", spy_on(harness._direct_text, documents))
+        args = [command, "--scenario", str(bundled_scenario(name)), "-n", "2", "--out", str(tmp_path)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert len(documents) == (2 if command == "batch" else 1)
+        assert all(text is not None for text in documents)
 
     @pytest.mark.parametrize("name", sorted(test_golden.GOLDEN_SHA256))
     def test_golden_hashes_with_the_python_emitter(self, name, tmp_path, monkeypatch):
-        monkeypatch.setattr(harness, "_C_DUMPER", None)
+        documents = []
+        monkeypatch.setattr(harness, "_direct_text", spy_on(lambda data: None, documents))
         test_golden.test_bundled_outputs_match_golden_hashes(name, tmp_path)
+        assert documents == [None]  # stats.yaml was written by yaml.safe_dump
 
 
 class TestOutputFiles:
