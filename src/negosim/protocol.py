@@ -14,7 +14,7 @@ become profitable before the deadline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .domain import (
     InvalidOfferError,
@@ -35,8 +35,7 @@ class SetupError(NegotiationError):
     """The two parties cannot negotiate (e.g. incompatible issue alphabets)."""
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     round: int
     proposer: str  # the acting party
     offer: OfferVector

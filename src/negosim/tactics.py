@@ -11,6 +11,7 @@ threshold by definition.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
@@ -71,8 +72,8 @@ def _concede(alpha: float, reservation: float) -> float:
     return MAX_UTILITY - alpha * (MAX_UTILITY - reservation)
 
 
-def _zero_free_space(profile: PreferenceProfile) -> tuple[list, np.ndarray]:
-    """Each issue's nonzero-rated options sorted by label, and every offer's utility.
+def _zero_free_space(profile: PreferenceProfile) -> tuple[list[tuple[str, ...]], np.ndarray]:
+    """Each issue's nonzero-rated option labels, sorted, and every offer's utility.
 
     The utilities form one array axis per issue. Its C-order flattening is
     the lexicographic label order, and the per-issue terms are added in
@@ -90,7 +91,9 @@ def _zero_free_space(profile: PreferenceProfile) -> tuple[list, np.ndarray]:
         weight, max_rating = profile.weights[issue.name], issue.max_rating
         terms = np.array([weight * opt.rating / max_rating for opt in options])
         utilities = np.add.outer(utilities, terms)
-        menus.append(options)
+        # from a list, so the tuple is made at its size: tuple() of a generator
+        # resizes, and every resized tuple freed would grow the tuple free list
+        menus.append(tuple([opt.label for opt in options]))
     return menus, np.clip(utilities, 0.0, 100.0)
 
 
@@ -111,12 +114,17 @@ class OfferTable:
     def __init__(self, profile: PreferenceProfile):
         self.profile = profile
         self.reservation = reservation_utility(profile)
+        self._issues = tuple([issue.name for issue in profile.issues])  # from a list, as the menus
         self._menus, utilities = _zero_free_space(profile)
         flat = utilities.ravel()
-        self._order = np.argsort(flat, kind="stable")
-        self._sorted = flat[self._order]
+        order = np.argsort(flat, kind="stable")
+        keys = flat[order]
         # the pick when nothing qualifies: the first offer of the largest utility
-        self._fallback = int(self._sorted.searchsorted(self._sorted[-1]))
+        # (searchsorted, as NaN keys from an unvalidated profile sort last)
+        self._fallback = int(keys.searchsorted(keys[-1]))
+        # zero-copy views that read as Python floats and ints, so a pick calls no numpy
+        self._keys = memoryview(keys)
+        self._order = memoryview(order)
         self._served: dict[int, OfferVector] = {}  # sorted position -> its offer
         # id(offer) -> (offer, utility); holding the offer keeps its id from being reused
         self._scored: dict[int, tuple[OfferVector, float]] = {}
@@ -130,13 +138,14 @@ class OfferTable:
         lexicographically smallest label vector. A repeated pick returns
         the same object.
         """
-        i = int(self._sorted.searchsorted(target - 1e-9))
-        if i == self._sorted.size:
+        keys = self._keys
+        i = bisect_left(keys, target - 1e-9)
+        if i == len(keys) or target != target:  # a NaN target sorts after every key
             i = self._fallback
         offer = self._served.get(i)
         if offer is None:
-            offer = self._served[i] = self._decode(int(self._order[i]))
-            self._scored[id(offer)] = (offer, float(self._sorted[i]))
+            offer = self._served[i] = self._decode(self._order[i])
+            self._scored[id(offer)] = (offer, keys[i])
         return offer
 
     def utility(self, offer: OfferVector) -> float:
@@ -157,9 +166,9 @@ class OfferTable:
         labels = []
         for menu in reversed(self._menus):
             flat, i = divmod(flat, len(menu))
-            labels.append(menu[i].label)
+            labels.append(menu[i])
         labels.reverse()
-        return OfferVector(choices=dict(zip((issue.name for issue in self.profile.issues), labels)))
+        return OfferVector(choices=dict(zip(self._issues, labels)))
 
 
 def offer_for_target(profile: PreferenceProfile, target: float) -> OfferVector:

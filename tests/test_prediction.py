@@ -573,7 +573,7 @@ class TestAdvise:
         profile = ladder_profile(deadline=10, reservation=80.0)
         rows = list(incoming_trace(profile, [30.0, 30.0, 30.0, 30.0], rounds=[0, 2, 4, 6]))
         last = rows[-1]
-        rows[-1] = replace(last, round=3) if fault == "backwards" else replace(last, utility_receiver=fault)
+        rows[-1] = last._replace(round=3) if fault == "backwards" else last._replace(utility_receiver=fault)
         assert advise(rows[:-1], OfferTable(profile)).kind == "terminate-unprofitable"
         assert advise(rows, OfferTable(profile)) == Advice(kind="continue")
 
@@ -834,7 +834,7 @@ def test_advise_in_sessions_matches_the_one_shot_fit_randomized(monkeypatch):
         if not observed:
             continue
         i = rng.choice(observed)
-        rows[i] = replace(rows[i], utility_receiver=rng.choice((100.5, -1.0, math.nan)))
+        rows[i] = rows[i]._replace(utility_receiver=rng.choice((100.5, -1.0, math.nan)))
         table = OfferTable(a)
         for stop in observed:
             _, expected, _ = rebuilt_advice(rows[: stop + 1], a, warmup)

@@ -267,6 +267,32 @@ def test_recorded_utilities_are_the_profiles_scores_randomized():
     assert {"agreement", "early-termination"} <= kinds
 
 
+ROW_FIELDS = ("round", "proposer", "offer", "utility_proposer", "utility_receiver", "action")
+
+
+def test_a_trace_row_is_immutable_with_six_fields_in_order():
+    row = TraceRow(0, "a", ladder_offer(50.0), 50.0, 50.0, "offer")
+    assert TraceRow._fields == ROW_FIELDS
+    for name in ROW_FIELDS:
+        with pytest.raises(AttributeError):
+            setattr(row, name, None)
+    assert row == tuple(getattr(row, name) for name in ROW_FIELDS)
+
+
+def test_session_rows_equal_rows_rebuilt_field_by_field():
+    rng = random.Random(4343)
+    rows = 0
+    for _ in range(50):
+        a = random_profile(rng, "a")
+        _, trace = run_session(a, rerated(rng, a, "b"), random_tactic(rng), random_tactic(rng),
+                               max_rounds=30, opener=rng.choice("ab"))
+        for row in trace:
+            rebuilt = TraceRow(*(getattr(row, name) for name in ROW_FIELDS))
+            assert type(row) is TraceRow and row == rebuilt
+            rows += 1
+    assert rows > 200
+
+
 @pytest.mark.parametrize("window", [1, -1])
 def test_divergence_window_of_one_rejected(window):
     # one offer is not a trend: a window of 1 would end every session at its first reply

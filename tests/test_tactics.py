@@ -381,6 +381,82 @@ def test_a_repeated_pick_is_the_same_offer():
         assert len(picks) == len(zero_free_utilities(profile))
 
 
+def float_rated_profile(rng: random.Random, agent_id: str) -> PreferenceProfile:
+    """1-3 issues with random float ratings, so utilities rarely tie."""
+    issues = []
+    for i in range(rng.randint(1, 3)):
+        ratings = [0.0] + [rng.uniform(0.5, 100.0) for _ in range(rng.randint(1, 5))]
+        issues.append(Issue(f"issue{i}", tuple(IssueOption(f"o{j}", r) for j, r in enumerate(ratings))))
+    raw = [rng.uniform(1.0, 50.0) for _ in issues]
+    return make_profile(agent_id, issues, {iss.name: 100.0 * w / sum(raw) for iss, w in zip(issues, raw)}, 10)
+
+
+def signed_zero_table(profile: PreferenceProfile, monkeypatch) -> OfferTable:
+    """A table whose keys hold -0.0 and 0.0 side by side, which no valid profile gives."""
+    real = negosim.tactics._zero_free_space
+
+    def with_signed_zeros(profile):
+        menus, utilities = real(profile)
+        utilities = utilities.copy()
+        utilities.flat[::3] = -0.0
+        utilities.flat[1::3] = 0.0
+        return menus, utilities
+
+    monkeypatch.setattr(negosim.tactics, "_zero_free_space", with_signed_zeros)
+    table = OfferTable(profile)
+    monkeypatch.undo()
+    return table
+
+
+def inf_rated_profile(rng: random.Random) -> PreferenceProfile:
+    """Unvalidated: an ``inf`` rating makes every offer with it score NaN, so NaN keys sort last."""
+    ratings = [rng.choice((1.0, 2.0, math.inf)) for _ in range(3)] + [math.inf]
+    rated = Issue("rated", tuple(IssueOption(f"r{j}", r) for j, r in enumerate(ratings)))
+    plain = Issue("plain", tuple(IssueOption(f"p{j}", float(j + 1)) for j in range(3)))
+    return PreferenceProfile("a", (rated, plain), {"rated": 40.0, "plain": 60.0}, 10)
+
+
+def test_bisect_pick_matches_searchsorted(monkeypatch):
+    # the pick bisects a memoryview of the keys; numpy's searchsorted, with
+    # its NaN-last order, is the reference, and past the end the fallback
+    rng = random.Random(37)
+    tables = []
+    for n in range(40):
+        tables += [OfferTable(tie_heavy_profile(rng, f"tie{n}")),
+                   OfferTable(float_rated_profile(rng, f"float{n}")),
+                   signed_zero_table(tie_heavy_profile(rng, f"zero{n}"), monkeypatch),
+                   OfferTable(inf_rated_profile(rng))]
+    checked = nan_keys = signed_zeros = 0
+    for table in tables:
+        keys, order = np.asarray(table._keys), np.asarray(table._order)
+        nan_keys += bool(np.isnan(keys).any())
+        zero_signs = np.signbit(keys[keys == 0])
+        signed_zeros += bool(zero_signs.any() and not zero_signs.all())
+        targets = [math.inf, -math.inf, math.nan]
+        for key in keys.tolist():
+            targets += [key, key - 1e-9, key + 1e-9]
+        for target in targets:
+            i = int(np.searchsorted(keys, target - 1e-9))
+            if i == keys.size:
+                i = table._fallback
+            expected = table._decode(int(order[i]))
+            offer = table.offer(target)
+            assert list(offer.choices.items()) == list(expected.choices.items()), (target, i)
+            checked += 1
+    assert nan_keys >= 10 and signed_zeros >= 10 and checked > 5000
+
+
+def test_a_nan_target_takes_the_fallback():
+    # bisect_left puts NaN before every key, searchsorted after; the pick keeps searchsorted's
+    rng = random.Random(41)
+    profiles = [ladder_profile(), inf_rated_profile(rng), tie_heavy_profile(rng, "tie")]
+    for profile in profiles:
+        table = OfferTable(profile)
+        fallback = table._decode(table._order[table._fallback])
+        assert table.offer(math.nan).choices == fallback.choices
+    assert OfferTable(ladder_profile()).offer(math.nan).choices == {"value": "p10"}
+
+
 def test_table_utility_of_a_malformed_offer_raises():
     table = OfferTable(ladder_profile())
     for choices in ({}, {"value": "p11"}, {"value": "p5", "other": "x"}):
