@@ -8,9 +8,8 @@ random, and output files are byte-stable.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
+import os
 import re
 import stat
 from dataclasses import asdict, dataclass, fields, replace
@@ -534,26 +533,36 @@ def compare_prediction(scenario: Scenario, n_sessions: int) -> dict:
     return {"off": off, "on": on, "deltas": deltas}
 
 
+# csv.writer's default quoting, except that it quotes "\r" only from Python 3.13 on
+_QUOTED_CELL = re.compile(r'[,"\r\n]')
+
+
+def _cell(value) -> str:
+    """``value`` as one CSV cell: ``str()`` of it (None is empty), double-quoted
+    with inner quotes doubled if it holds a comma, quote, CR or LF."""
+    text = value if isinstance(value, str) else "" if value is None else str(value)
+    if _QUOTED_CELL.search(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
 def trace_csv(trace: SessionTrace, session_index: int, issue_names: Sequence[str]) -> str:
     """Render one session trace as CSV: one row per executed round."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        ["session", "round", "proposer", *issue_names, "utility_self", "utility_opponent_observed", "action"]
-    )
-    for row in trace.rows:
-        writer.writerow(
-            [
-                session_index,
-                row.round,
-                row.proposer,
-                *[row.offer.choices[name] for name in issue_names],
-                repr(row.utility_proposer),
-                repr(row.utility_receiver),
-                row.action,
-            ]
-        )
-    return buffer.getvalue()
+    names = ",".join(map(_cell, issue_names))
+    lines = [f"session,round,proposer,{names},utility_self,utility_opponent_observed,action\n"]
+    # the trace holds its offers, so their ids are stable for this call
+    offers: dict[int, str] = {}
+    proposers: dict[str, str] = {}
+    for round_, proposer, offer, u_p, u_r, action in trace:
+        cells = offers.get(id(offer))
+        if cells is None:
+            choices = offer.choices
+            cells = offers[id(offer)] = ",".join([_cell(choices[name]) for name in issue_names])
+        who = proposers.get(proposer)
+        if who is None:
+            who = proposers[proposer] = _cell(proposer)
+        lines.append(f"{session_index},{round_},{who},{cells},{u_p!r},{u_r!r},{action}\n")
+    return "".join(lines)
 
 
 def _outcome_dict(record: SessionRecord) -> dict:
@@ -702,10 +711,18 @@ def _write_new(path: Path, text: str) -> None:
     ext4, XFS and btrfs start writeback when a file truncated to zero is
     closed; a new file skips that. A hard link to the old file keeps the old
     bytes. A symlink is written through, and a directory in the way raises.
+    Text that does not encode raises before any file is touched.
     """
+    data = text.encode("utf-8")
     try:
-        if stat.S_ISREG(path.lstat().st_mode):
-            path.unlink()
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
     except FileNotFoundError:
         pass
-    path.write_text(text, encoding="utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        written = os.write(fd, data)
+        while written < len(data):  # os.write may write less than it is given
+            written += os.write(fd, data[written:])
+    finally:
+        os.close(fd)

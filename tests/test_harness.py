@@ -1,10 +1,13 @@
 import builtins
 import copy
+import csv
 import hashlib
+import io
 import itertools
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 from dataclasses import replace
@@ -20,7 +23,7 @@ import negosim
 import test_golden
 from negosim import cli, harness
 from negosim.cli import main
-from negosim.domain import NegotiationError, enumerate_offers, total_profit
+from negosim.domain import NegotiationError, OfferVector, enumerate_offers, total_profit
 from negosim.harness import (
     ScenarioError,
     bundled_scenario,
@@ -30,6 +33,7 @@ from negosim.harness import (
     trace_csv,
     write_outputs,
 )
+from negosim.protocol import SessionTrace, TraceRow
 
 MINIMAL = {
     "schema_version": 1,
@@ -675,6 +679,120 @@ class TestOutputs:
         assert "session_0000_thread_2.csv" in names
 
 
+def csv_writer_trace(trace, session_index, issue_names):
+    """The trace as ``csv.writer`` renders it, the reference ``trace_csv`` must equal."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(
+        ["session", "round", "proposer", *issue_names, "utility_self", "utility_opponent_observed", "action"]
+    )
+    for row in trace:
+        writer.writerow(
+            [
+                session_index,
+                row.round,
+                row.proposer,
+                *[row.offer.choices[name] for name in issue_names],
+                repr(row.utility_proposer),
+                repr(row.utility_receiver),
+                row.action,
+            ]
+        )
+    return buffer.getvalue()
+
+
+ACTIONS = ("offer", "accept", "withdraw", "terminate-unprofitable", "terminate-diverging")
+# CSV's special characters, spaces and non-ASCII, but no CR: csv.writer quotes a CR only
+# from Python 3.13 on, and 3.10's raises on a NUL
+CELL_TEXT = st.text(
+    st.one_of(st.sampled_from(',"\n \u00e9\u20ac\U0001f600'), st.characters(exclude_characters="\r\x00")),
+    max_size=6,
+)
+
+
+@st.composite
+def traces(draw, labels=CELL_TEXT, ids=CELL_TEXT):
+    """A session trace over drawn issue names, labels and agent ids; rows reuse offers."""
+    issue_names = draw(st.lists(CELL_TEXT, min_size=1, max_size=4, unique=True))
+    menus = {name: draw(st.lists(labels, min_size=1, max_size=4)) for name in issue_names}
+    offers = [
+        OfferVector({name: draw(st.sampled_from(menu)) for name, menu in menus.items()})
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    proposers = draw(st.lists(ids, min_size=2, max_size=2, unique=True))
+    trace = SessionTrace()
+    for round_ in range(draw(st.integers(0, 8))):
+        trace.append(
+            TraceRow(
+                round_,
+                proposers[round_ % 2],
+                draw(st.sampled_from(offers)),
+                draw(st.floats()),
+                draw(st.floats()),
+                draw(st.sampled_from(ACTIONS)),
+            )
+        )
+    return trace, draw(st.integers(0, 10**6)), issue_names
+
+
+NON_STRING_LABELS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([numpy.float64(2.5), numpy.int64(-3), (1, "a,b"), -0.0, 10**30]),
+)
+
+
+class TestTraceCsv:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(drawn=traces())
+    def test_every_trace_is_csv_writer_byte_for_byte(self, drawn):
+        assert trace_csv(*drawn) == csv_writer_trace(*drawn)
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(drawn=traces(labels=NON_STRING_LABELS, ids=st.one_of(CELL_TEXT, st.integers())))
+    def test_non_string_labels_and_ids_are_csv_writer_byte_for_byte(self, drawn):
+        assert trace_csv(*drawn) == csv_writer_trace(*drawn)
+
+    def test_a_cr_in_a_label_is_quoted_on_every_interpreter(self, tmp_path):
+        # csv.writer wrote "5\r" bare before Python 3.13, and csv.reader then split each row in two
+        raw = yaml.safe_load(bundled_scenario("aircraft.scenario").read_text())
+        raw["issues"][1]["options"] = ["3", "5\r"]
+        for agent in raw["agents"]:
+            agent["ratings"]["quantity"]["5\r"] = agent["ratings"]["quantity"].pop("5")
+        scenario = load_scenario(write_scenario(tmp_path, raw))
+        result = run_batch(scenario, 1)
+        write_outputs(scenario, result, tmp_path / "out")
+        data = (tmp_path / "out" / "session_0000.csv").read_bytes()
+        trace = result.records[0].traces[0][1]
+        assert len(trace) == 13
+        assert data.count(b',"5\r",') == 13
+        assert hashlib.sha256(data).hexdigest() == (
+            "077ea6b981f677e1290d67480cced3635f0d99fa23ba0734b32c1ae6773b907a"
+        )
+        rows = list(csv.reader(io.StringIO(data.decode(), newline="")))
+        assert rows == [
+            ["session", "round", "proposer", "price", "quantity", "warranty",
+             "utility_self", "utility_opponent_observed", "action"],
+            *(
+                [
+                    "0", str(row.round), row.proposer,
+                    *(row.offer.choices[name] for name in ("price", "quantity", "warranty")),
+                    repr(row.utility_proposer), repr(row.utility_receiver), row.action,
+                ]
+                for row in trace
+            ),
+        ]
+
+    def test_cr_and_nul_cells_are_the_same_on_every_interpreter(self):
+        # the differential draws neither: csv.writer quotes a CR from 3.13 on, and 3.10's
+        # raises on a NUL, which 3.11 on writes bare
+        assert harness._cell("5\r") == '"5\r"'
+        assert harness._cell('\r"') == '"\r"""'
+        assert harness._cell("a\x00b") == "a\x00b"
+
+
 class TestCli:
     def test_run_aircraft(self):
         runner = CliRunner()
@@ -1115,6 +1233,41 @@ class TestOutputFiles:
         write_outputs(aircraft_scenario, result, tmp_path / "fresh", traces=False)
         assert (out / "stats.yaml").is_symlink()
         assert target.read_bytes() == (tmp_path / "fresh" / "stats.yaml").read_bytes()
+
+    def test_short_writes_are_finished(self, tmp_path, monkeypatch):
+        text = "session,caf\u00e9\n" * 50
+        write, calls = os.write, []
+
+        def one_byte(fd, data):
+            calls.append(len(data))
+            return write(fd, bytes(data[:1]))
+
+        monkeypatch.setattr(os, "write", one_byte)
+        harness._write_new(tmp_path / "out.csv", text)
+        monkeypatch.undo()
+        assert (tmp_path / "out.csv").read_bytes() == text.encode()
+        assert len(calls) == len(text.encode())
+
+    @pytest.mark.parametrize("umask", [0o002, 0o077])
+    def test_a_new_file_has_the_mode_open_gives_it(self, umask, tmp_path):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "reference", "w"):
+                pass
+            harness._write_new(tmp_path / "new", "x\n")
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE((tmp_path / "new").stat().st_mode)
+        assert mode == stat.S_IMODE((tmp_path / "reference").stat().st_mode) == 0o666 & ~umask
+
+    def test_text_that_does_not_encode_touches_no_file(self, tmp_path):
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_bytes(b"old\n")
+        for path in (new, old):
+            with pytest.raises(UnicodeEncodeError):
+                harness._write_new(path, "lone \ud800 surrogate")
+        assert not new.exists()
+        assert old.read_bytes() == b"old\n"
 
     def test_batch_out_with_a_directory_for_stats_is_a_diagnostic(self, tmp_path):
         (tmp_path / "stats.yaml").mkdir()
