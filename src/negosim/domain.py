@@ -238,7 +238,7 @@ def validate_profile(profile: PreferenceProfile, check_weights: bool = True) -> 
                 violations.append(f"issue {issue.name!r} has no weight")
     if profile.deadline < -sys.float_info.max:  # an integer too long to list
         violations.append(f"deadline must be > 0, got one below -{sys.float_info.max:g}")
-    elif profile.deadline <= 0:
+    elif not profile.deadline > 0:  # also rejects NaN
         violations.append(f"deadline {profile.deadline:g} must be > 0")
     elif profile.deadline > sys.float_info.max:  # round / deadline would be 0.0 for every round
         violations.append(f"deadline must be at most {sys.float_info.max:g}, the float range")
@@ -250,8 +250,9 @@ def validate_profile(profile: PreferenceProfile, check_weights: bool = True) -> 
 
 def total_profit(profile: PreferenceProfile, offer: OfferVector) -> float:
     """Weighted sum of rating ratios of the offered options; always in [0, 100]."""
-    expected = {issue.name for issue in profile.issues}
-    given = set(offer.choices)
+    issues, choices, weights = profile.issues, offer.choices, profile.weights
+    expected = {issue.name for issue in issues}
+    given = set(choices)
     if given != expected:
         missing = sorted(expected - given)
         extra = sorted(given - expected)
@@ -259,11 +260,12 @@ def total_profit(profile: PreferenceProfile, offer: OfferVector) -> float:
             f"offer does not cover the profile's issues (missing={missing}, extra={extra})"
         )
     score = 0.0
-    for issue in profile.issues:
-        option = issue.option(offer.choices[issue.name])
-        score += profile.weights[issue.name] * option.rating / issue.max_rating
-    # rating/max_rating can overshoot 1 by one ulp; keep the documented range
-    return min(max(score, 0.0), 100.0)
+    for issue in issues:
+        name = issue.name
+        score += weights[name] * issue.option(choices[name]).rating / issue.max_rating
+    # rating/max_rating can overshoot 1 by one ulp; keep the documented range, clamped
+    # as min(max(score, 0.0), 100.0) is, without the builtin calls
+    return 0.0 if 0.0 > score else (100.0 if 100.0 < score else score)
 
 
 def enumerate_offers(

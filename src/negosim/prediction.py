@@ -140,14 +140,23 @@ def fit_regression(series: ObservationSeries, family: str) -> RegressionFit:
         return _fit(family, np.array(series.times), np.array(series.utilities))
 
 
-def _fit(family: str, t: np.ndarray, u: np.ndarray) -> RegressionFit:
-    """One family's least-squares fit to the points (t, u); power needs them positive."""
+def _fit(
+    family: str, t: np.ndarray, u: np.ndarray, design: np.ndarray | None = None
+) -> RegressionFit:
+    """One family's least-squares fit to the points (t, u); power needs them positive.
+
+    ``design`` is ``np.vander(t, 3, increasing=True)``, the columns [1, t, t²],
+    built here if not given: quadratic fits all three columns and linear the
+    first two, which are ``np.vander(t, 2, increasing=True)`` bit for bit.
+    """
+    if design is None and family != "power":
+        design = np.vander(t, 3, increasing=True)
     if family == "linear":
-        a, b = _lstsq(np.vander(t, 2, increasing=True), u).tolist()
+        a, b = _lstsq(design[:, :2], u).tolist()
         c = 0.0
         pred = b * t + a
     elif family == "quadratic":
-        c, b, a = _lstsq(np.vander(t, 3, increasing=True), u).tolist()
+        c, b, a = _lstsq(design, u).tolist()
         pred = a * t**2 + b * t + c
     else:  # power, via log-log linearization
         log_a, b = _lstsq(np.vander(np.log(t), 2, increasing=True), np.log(u)).tolist()
@@ -174,7 +183,8 @@ def select_model(series: ObservationSeries) -> RegressionFit:
         raise DegenerateDataError("model selection needs at least 3 points")
     admissible = FAMILIES if series.positive else ("linear", "quadratic")
     t, u = np.array(series.times), np.array(series.utilities)
-    fits = [_fit(f, t, u) for f in admissible]  # simplest family first
+    design = np.vander(t, 3, increasing=True)  # one for both polynomial families
+    fits = [_fit(f, t, u, design) for f in admissible]  # simplest family first
     # a power fit whose a underflows to 0 can give a NaN SSE, which never wins
     best_sse = min([fit.sse for fit in fits if not math.isnan(fit.sse)])
     return next(fit for fit in fits if fit.sse <= best_sse + SSE_TIE_EPS)

@@ -144,7 +144,7 @@ def check_termination(
     latest = None
     losing = 0  # the latest incoming offers, over which the utility fell at every step
     newer = 0.0  # the utility of the offer counted last
-    for row in reversed(trace):
+    for row in reversed(trace._rows):
         if row.proposer == me or row.action != "offer":
             continue
         if latest is None:
@@ -178,8 +178,9 @@ def settings_problems(max_rounds, divergence_window) -> list[str]:
 
 
 def _check_alphabets(a: PreferenceProfile, b: PreferenceProfile) -> None:
-    menu_a = {issue.name: set(issue.labels()) for issue in a.issues}
-    menu_b = {issue.name: set(issue.labels()) for issue in b.issues}
+    # each issue's label lookup, whose keys view compares as the set of its labels
+    menu_a = {issue.name: issue._by_label.keys() for issue in a.issues}
+    menu_b = {issue.name: issue._by_label.keys() for issue in b.issues}
     if menu_a != menu_b:
         raise SetupError(
             f"profiles {a.agent_id!r} and {b.agent_id!r} do not share an issue/option alphabet"
@@ -238,8 +239,9 @@ def run_session(
 
     if tables is None:
         tables = {}
-    # per party, opener first: its offer table, its tactic and the first
-    # round its predictor may advise on, max_rounds (never) for no predictor
+    # per party, opener first: its offer table, its tactic, the first round its
+    # predictor may advise on (max_rounds, never, for no predictor), its profile,
+    # its agent id and the other party's table
     sides = []
     for profile, tactic in ((profile_a, tactic_a), (profile_b, tactic_b)):
         config = predictor_config
@@ -249,27 +251,25 @@ def run_session(
         table = tables.get(id(profile))
         if table is None or table.profile is not profile:
             table = tables[id(profile)] = OfferTable(profile)
-        sides.append((table, tactic, advised_from))
-    if opener != ids[0]:
-        sides.reverse()
+        sides.append((table, tactic, advised_from, profile, profile.agent_id))
+    first, second = sides if opener == ids[0] else sides[::-1]
+    sides = ((*first, second[0]), (*second, first[0]))
 
     trace = SessionTrace()
-    standing: TraceRow | None = None  # the offer on the table, as its proposer recorded it
+    # rows go straight onto the trace's list: this loop numbers them contiguously
+    append, new_row = trace._rows.append, tuple.__new__
+    standing = None  # the offer on the table, worth mine to me and theirs to its proposer
     for round_no in range(max_rounds):
-        table, tactic, advised_from = sides[round_no % 2]
-        other = sides[1 - round_no % 2][0]
-        profile = table.profile
-        me = profile.agent_id
+        table, tactic, advised_from, profile, me, other = sides[round_no & 1]
         try:
             planned = tactic.propose(table, trace, round_no)
             # a malformed counter is a protocol violation by its proposer
-            planned_utilities = (table.utility(planned), other.utility(planned))
+            own, their = table.utility(planned), other.utility(planned)  # to me, to the other
         except InvalidOfferError:
             return SessionOutcome(kind="withdrawal", round=round_no, party=me), trace
 
         if standing is not None:
             # respond()'s law, on the utilities recorded when each offer was scored
-            mine, theirs = standing.utility_receiver, standing.utility_proposer
             outcome = None
             if round_no > profile.deadline:
                 action = "withdraw"
@@ -288,18 +288,18 @@ def run_session(
                     outcome = SessionOutcome(
                         kind="early-termination", round=round_no, party=me, reason=reason
                     )
-                elif mine > planned_utilities[0]:
+                elif mine > own:
                     action = "accept"
                     outcome = SessionOutcome(
                         kind="agreement",
                         round=round_no,
-                        offer=standing.offer,
+                        offer=standing,
                         utilities={a: mine if a == me else theirs for a in ids},
                     )
             if outcome is not None:  # the terminal row restates the standing offer from this side
-                trace.append(TraceRow(round_no, me, standing.offer, mine, theirs, action))
+                append(new_row(TraceRow, (round_no, me, standing, mine, theirs, action)))
                 return outcome, trace
 
-        standing = TraceRow(round_no, me, planned, *planned_utilities, "offer")
-        trace.append(standing)
+        append(new_row(TraceRow, (round_no, me, planned, own, their, "offer")))
+        standing, theirs, mine = planned, own, their
     return SessionOutcome(kind="deadline-expiry", round=max_rounds), trace

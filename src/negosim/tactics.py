@@ -49,26 +49,29 @@ def time_alpha(t: float, t_max: float, k: float, beta: float) -> float:
         raise ParameterError(f"beta must be > 0, got {beta:g}")
     if not 0 <= k <= 1:
         raise ParameterError(f"k must be in [0, 1], got {k:g}")
-    if t_max <= 0:
+    if not t_max > 0:  # also rejects NaN
         raise ParameterError(f"t_max must be > 0, got {t_max:g}")
-    if t < 0:
+    if not t >= 0:
         raise ParameterError(f"t must be >= 0, got {t:g}")
-    frac = min(t, t_max) / t_max
+    # min(t, t_max) without the builtin call: on a tie the first argument wins, as in min
+    frac = (t_max if t_max < t else t) / t_max
     return k + (1.0 - k) * frac ** (1.0 / beta)
 
 
 def resource_alpha(r: float, k: float) -> float:
     """Resource-dependent concession: fully conceded once the resource is gone."""
-    if r < 0:
+    if not r >= 0:  # also rejects NaN
         raise ParameterError(f"resource remaining must be >= 0, got {r:g}")
     if not 0 <= k <= 1:
         raise ParameterError(f"k must be in [0, 1], got {k:g}")
     # exp(-r) is 0.0 from r = 746 on; clamped, an int past the float range cannot overflow
-    return k + (1.0 - k) * math.exp(-min(r, 1000.0))
+    return k + (1.0 - k) * math.exp(-(1000.0 if 1000.0 < r else r))
 
 
 def _concede(alpha: float, reservation: float) -> float:
-    alpha = min(max(alpha, 0.0), 1.0)
+    # min(max(alpha, 0.0), 1.0): the first argument wins a tie, and NaN passes through
+    alpha = 0.0 if 0.0 > alpha else alpha
+    alpha = 1.0 if 1.0 < alpha else alpha
     return MAX_UTILITY - alpha * (MAX_UTILITY - reservation)
 
 
@@ -168,7 +171,7 @@ class OfferTable:
             flat, i = divmod(flat, len(menu))
             labels.append(menu[i])
         labels.reverse()
-        return OfferVector(choices=dict(zip(self._issues, labels)))
+        return OfferVector(dict(zip(self._issues, labels)))
 
 
 def offer_for_target(profile: PreferenceProfile, target: float) -> OfferVector:
@@ -248,7 +251,8 @@ class ResourceDependentTactic(Tactic):
         resource_alpha(0.0, self.k)  # rejects k outside [0, 1]
 
     def target(self, table, trace, round):
-        alpha = resource_alpha(max(table.profile.deadline - round, 0), self.k)
+        left = table.profile.deadline - round
+        alpha = resource_alpha(0 if 0 > left else left, self.k)
         return _concede(alpha, table.reservation)
 
 

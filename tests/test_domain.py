@@ -139,6 +139,12 @@ class TestValidateProfile:
         profile = three_issue_profile(weights=(60.0, 15.0, 25.0))
         assert validate_profile(profile) == []
 
+    def test_nan_deadline_reported(self):
+        # NaN fails every comparison: such a party's target was NaN, so it never
+        # conceded, and past its deadline it never withdrew
+        profile = dataclasses.replace(three_issue_profile(), deadline=math.nan)
+        assert validate_profile(profile) == ["deadline nan must be > 0"]
+
     def test_bad_weight_sum_reported(self):
         profile = PreferenceProfile(
             agent_id="b",

@@ -863,6 +863,8 @@ def reference_fit(t: np.ndarray, u: np.ndarray, family: str):
         design, target = np.column_stack([ones, t, t**2]), u
     else:
         design, target = np.column_stack([ones, np.log(t)]), np.log(u)
+    if not np.isfinite(design).all():  # LAPACK would fail on it, printing DLASCL errors
+        raise DegenerateDataError("non-finite")
     coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
     if rank < design.shape[1]:
         raise DegenerateDataError("singular")
@@ -1042,6 +1044,30 @@ def test_select_model_matches_the_reference_on_hard_series():
     times = [np.array([t for t, _ in points], dtype=float) for points in cases]
     conditions = [np.linalg.cond(np.column_stack([np.ones(len(t)), t, t * t])) for t in times]
     assert sorted(conditions)[-10] > 1e6  # kappa(XᵀX) = kappa(X)² passes 1e12
+
+
+def test_the_shared_design_at_the_float_edge():
+    # from |t| ≈ 1.34e154 on, t² is inf in select_model's shared design while
+    # [1, t] stays finite: linear fits those two columns, as np.vander(t, 2), so
+    # it fails as that design does (rank 1), not on the quadratic column's inf
+    cols = series((2e154, 10.0), (2.5e154, 20.0), (3e154, 30.0))
+    t, u = np.array(cols.times), np.array(cols.utilities)
+    with np.errstate(over="ignore"):
+        design = np.vander(t, 3, increasing=True)
+    assert np.isinf(design[:, 2]).all() and np.isfinite(design[:, :2]).all()
+
+    def error(fit):
+        with pytest.raises(DegenerateDataError) as info:
+            fit()
+        return str(info.value)
+
+    expected = error(lambda: _lstsq(np.vander(t, 2, increasing=True), u))
+    assert "singular" in expected
+    assert error(lambda: _fit("linear", t, u, design)) == expected
+    assert error(lambda: fit_regression(cols, "linear")) == expected
+    assert error(lambda: select_model(cols)) == expected  # linear is fitted first
+    assert error(lambda: _fit("quadratic", t, u, design)) == "design matrix has a non-finite entry"
+    check_against_reference(cols)
 
 
 def near_tie_cases(rng, count):

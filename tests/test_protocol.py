@@ -3,6 +3,7 @@ import weakref
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from negosim import protocol
 from negosim.coordination import CoordinationPlan, run_one_to_many
@@ -25,6 +26,7 @@ from negosim.protocol import (
     SetupError,
     TraceRow,
     Withdraw,
+    _check_alphabets,
     check_termination,
     respond,
     run_session,
@@ -201,6 +203,57 @@ class TestRunSession:
         outcome, _ = run_session(a, b, BrokenTactic(), TimeDependentTactic())
         assert outcome.kind == "withdrawal"
         assert outcome.party == "a"
+
+
+def alphabet_profile(agent_id, menus):
+    """A profile over ``menus``, a list of (issue name, option labels) in order."""
+    issues = tuple(
+        Issue(name, tuple(IssueOption(label, float(i)) for i, label in enumerate(labels)))
+        for name, labels in menus
+    )
+    return PreferenceProfile(agent_id, issues, {}, deadline=5)
+
+
+MENUS = st.lists(
+    st.tuples(st.sampled_from("xyz"), st.lists(st.sampled_from("abcd"), max_size=5)), max_size=4
+)
+
+
+@st.composite
+def alphabet_pairs(draw):
+    """Two issue lists: one drawn, the other the same reordered, or with a
+    label missing or added, an extra issue, or a label repeated."""
+    menus = draw(MENUS)
+    other = [(name, list(labels)) for name, labels in draw(st.permutations(menus))]
+    change = draw(st.sampled_from(["none", "drop label", "add label", "add issue", "repeat label"]))
+    if change == "add issue":
+        other.append((draw(st.sampled_from("xyzw")), draw(st.lists(st.sampled_from("abcd")))))
+    elif other and change != "none":
+        name, labels = draw(st.sampled_from(other))
+        if change == "add label":
+            labels.append(draw(st.sampled_from("abcde")))
+        elif labels and change == "drop label":
+            labels.remove(draw(st.sampled_from(labels)))
+        elif labels and change == "repeat label":
+            labels.insert(draw(st.integers(0, len(labels))), draw(st.sampled_from(labels)))
+    return menus, other
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(pair=alphabet_pairs())
+def test_alphabet_check_is_the_set_of_labels_rule(pair):
+    # the rule the check replaces: each issue name maps to the set of its labels,
+    # the last of duplicate issue names winning, and both maps must be equal
+    a, b = alphabet_profile("a", pair[0]), alphabet_profile("b", pair[1])
+    shared = {i.name: set(i.labels()) for i in a.issues} == {
+        i.name: set(i.labels()) for i in b.issues
+    }
+    if shared:
+        _check_alphabets(a, b)
+    else:
+        with pytest.raises(SetupError) as info:
+            _check_alphabets(a, b)
+        assert str(info.value) == "profiles 'a' and 'b' do not share an issue/option alphabet"
 
 
 def test_respond_branches_exclusive_and_exhaustive_randomized():

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import negosim.tactics
 from negosim.domain import (
@@ -24,6 +25,7 @@ from negosim.domain import (
 )
 from negosim.protocol import SessionTrace, TraceRow, run_session
 from negosim.tactics import (
+    MAX_UTILITY,
     BehaviorDependentTactic,
     MixedTactic,
     ParameterError,
@@ -33,6 +35,7 @@ from negosim.tactics import (
     TimeDependentTactic,
     behavior_target,
     offer_for_target,
+    _concede,
     resource_alpha,
     tactic_from_dict,
     time_alpha,
@@ -119,6 +122,19 @@ class TestTimeDependent:
         assert targets[1] - targets[0] == pytest.approx(targets[2] - targets[1])
 
 
+    @pytest.mark.parametrize("t, t_max", [(3, math.nan), (math.nan, 10), (math.nan, math.nan)])
+    def test_nan_time_or_deadline_rejected(self, t, t_max):
+        # a NaN deadline once gave a NaN alpha: a party that never conceded
+        with pytest.raises(ParameterError):
+            time_alpha(t, t_max, k=0.0, beta=1.0)
+
+    def test_nan_deadline_rejected_in_a_session(self):
+        profile = replace(ladder_profile("a"), deadline=math.nan)
+        for tactic in (TimeDependentTactic(), ResourceDependentTactic()):
+            with pytest.raises(ParameterError):
+                run_session(profile, ladder_profile("b"), tactic, TimeDependentTactic())
+
+
 class TestResourceDependent:
     def test_fully_conceded_when_resource_exhausted(self):
         assert resource_alpha(0, k=0.4) == 1.0
@@ -133,9 +149,104 @@ class TestResourceDependent:
         with pytest.raises(ParameterError):
             resource_alpha(-1, k=0.0)
 
+    def test_nan_resource_rejected(self):
+        with pytest.raises(ParameterError):
+            resource_alpha(math.nan, k=0.0)
+
     def test_alpha_monotone_non_increasing_in_resource(self):
         values = [resource_alpha(r / 10, k=0.1) for r in range(0, 200)]
         assert all(b <= a for a, b in zip(values, values[1:]))
+
+
+# --- the target law against the builtin min and max, bit for bit ----------------
+
+
+def reference_time_alpha(t, t_max, k, beta):
+    """time_alpha's checks, and its law clamped with the builtin min."""
+    if not beta > 0:
+        raise ParameterError(f"beta must be > 0, got {beta:g}")
+    if not 0 <= k <= 1:
+        raise ParameterError(f"k must be in [0, 1], got {k:g}")
+    if not t_max > 0:
+        raise ParameterError(f"t_max must be > 0, got {t_max:g}")
+    if not t >= 0:
+        raise ParameterError(f"t must be >= 0, got {t:g}")
+    return k + (1.0 - k) * (min(t, t_max) / t_max) ** (1.0 / beta)
+
+
+def reference_resource_alpha(r, k):
+    """resource_alpha's checks, and its law clamped with the builtin min."""
+    if not r >= 0:
+        raise ParameterError(f"resource remaining must be >= 0, got {r:g}")
+    if not 0 <= k <= 1:
+        raise ParameterError(f"k must be in [0, 1], got {k:g}")
+    return k + (1.0 - k) * math.exp(-min(r, 1000.0))
+
+
+def reference_concede(alpha, reservation):
+    return MAX_UTILITY - min(max(alpha, 0.0), 1.0) * (MAX_UTILITY - reservation)
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` gives: its type and, for a float, its exact bits;
+    or the type and text of what it raised."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # the reference must raise the same error
+        return type(exc), str(exc)
+    return type(value), value.hex() if isinstance(value, float) else value
+
+
+# ints, floats, both zeros, the infinities and NaN; 10**400 is past the float range
+NUMBERS = st.one_of(
+    st.sampled_from([0, 0.0, -0.0, 1, 1.0, 1000, 1000.0, 10**400, math.inf, -math.inf, math.nan]),
+    st.integers(-(10**6), 10**6),
+    st.floats(),
+)
+# two numbers, often an int and the float equal to it, in either order: a tie
+# that min and max break toward their first argument
+TIED = st.integers(-(2**53), 2**53).flatmap(
+    lambda n: st.sampled_from([(n, float(n)), (float(n), n), (n, n), (float(n), float(n))])
+)
+PAIRS = st.one_of(TIED, st.tuples(NUMBERS, NUMBERS))
+CLAMPS = st.one_of(st.sampled_from([-1, 0, 1, 0.0, -0.0, 1.0, 1000, 1000.0]), NUMBERS)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(times=PAIRS, k=CLAMPS, beta=NUMBERS)
+def test_time_alpha_is_the_builtin_min_law(times, k, beta):
+    t, t_max = times
+    assert outcome(time_alpha, t, t_max, k, beta) == outcome(
+        reference_time_alpha, t, t_max, k, beta
+    )
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(r=CLAMPS, k=CLAMPS)
+def test_resource_alpha_is_the_builtin_min_law(r, k):
+    assert outcome(resource_alpha, r, k) == outcome(reference_resource_alpha, r, k)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(alpha=CLAMPS, reservation=NUMBERS)
+def test_concede_is_the_builtin_min_max_clamp(alpha, reservation):
+    assert outcome(_concede, alpha, reservation) == outcome(reference_concede, alpha, reservation)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(deadline=NUMBERS, round_no=st.one_of(CLAMPS, st.integers(0, 300)), k=st.floats(0.0, 1.0))
+def test_resource_target_is_the_builtin_max_law(deadline, round_no, k):
+    # the rounds left are max(deadline - round, 0); a NaN deadline reaches resource_alpha's check
+    table = OfferTable(replace(ladder_profile(), deadline=deadline))
+
+    def reference(round_no):
+        alpha = reference_resource_alpha(max(deadline - round_no, 0), k)
+        return reference_concede(alpha, table.reservation)
+
+    def target(round_no):
+        return ResourceDependentTactic(k).target(table, SessionTrace(), round_no)
+
+    assert outcome(target, round_no) == outcome(reference, round_no)
 
 
 class TestBehaviorDependent:
